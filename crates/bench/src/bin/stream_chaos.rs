@@ -5,8 +5,9 @@
 //! occasionally panicking transport on top, and asserts the *robustness
 //! contract* on every run:
 //!
-//! * liveness — the run terminates (no deadlock; the supervisor's global
-//!   timeout is the backstop) and returns `Ok`;
+//! * liveness — the run terminates and returns `Ok` (no deadlock: a wedged
+//!   stage fails the run after the watchdog interval, and the global run
+//!   timeout is the backstop);
 //! * bounded memory — queue depth never exceeds its configured capacity;
 //! * zero escaped panics — injected worker panics are absorbed by
 //!   supervision, never propagated to the caller;

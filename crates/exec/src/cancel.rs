@@ -11,8 +11,9 @@
 //!
 //! Both are hooks, not enforcement: a task that never checks its token runs
 //! to completion. The streaming service (`emoleak-stream`) pairs them with
-//! a watchdog that abandons non-cooperating workers and spawns
-//! replacements.
+//! a heartbeat watchdog: a stage that stops making progress fails the run,
+//! the run's token is cancelled so the other stages wind down, and the
+//! stuck thread is left behind rather than replaced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

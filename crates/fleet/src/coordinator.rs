@@ -428,11 +428,12 @@ impl FleetCoordinator {
     }
 
     /// Routes one tagged chunk into shard `id`'s front door, keeping the
-    /// books exact. A [`AdmissionError::WritesRefused`] refusal fires
-    /// *before* the shard's controller can count the offer, so it is
-    /// booked at the coordinator's retired ledger instead — and not
-    /// against the shard's routed count, which must keep matching what
-    /// its journal can prove at reconciliation.
+    /// books exact. A [`AdmissionError::WritesRefused`] or
+    /// [`AdmissionError::ShardFenced`] refusal fires *before* the shard's
+    /// controller can count the offer, so it is booked at the coordinator's
+    /// retired ledger instead — and not against the shard's routed count,
+    /// which must keep matching what its journal can prove at
+    /// reconciliation.
     fn offer_to_shard(
         &mut self,
         id: u32,
@@ -443,7 +444,7 @@ impl FleetCoordinator {
     ) -> Result<(), AdmissionError> {
         let res = self.shard_mut(id).offer_tagged(tenant, cost, now, seq);
         match &res {
-            Err(AdmissionError::WritesRefused { .. }) => {
+            Err(AdmissionError::WritesRefused { .. } | AdmissionError::ShardFenced { .. }) => {
                 self.retired.offered += 1;
                 self.retired.rejected += 1;
             }

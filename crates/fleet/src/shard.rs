@@ -309,16 +309,13 @@ impl Shard {
     ///
     /// # Errors
     ///
+    /// [`AdmissionError::ShardFenced`] when the shard is not
+    /// [`ShardState::Active`] (fenced or dead: it has no front door left);
     /// [`AdmissionError::WritesRefused`] when the disk gauge sits at the
     /// bottom rung (the shard cannot journal *or* buffer honestly, so it
     /// refuses rather than silently accepting doomed work — the caller
     /// retries after failover); otherwise whatever the shard's
     /// [`AdmissionController`] refuses with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is not [`ShardState::Active`] — the coordinator
-    /// must never route to a retired shard.
     pub fn offer_tagged(
         &mut self,
         tenant: &str,
@@ -326,7 +323,9 @@ impl Shard {
         now: u64,
         seq: u64,
     ) -> Result<(), AdmissionError> {
-        assert_eq!(self.state, ShardState::Active, "offer to a retired shard");
+        if self.state != ShardState::Active {
+            return Err(AdmissionError::ShardFenced { shard: self.id });
+        }
         if !self.durability_level().accepts_writes() {
             return Err(AdmissionError::WritesRefused { shard: self.id });
         }
@@ -544,6 +543,18 @@ mod tests {
         // A dead shard's advance is a no-op, not a panic.
         let tick = s.advance(4, 8, false);
         assert!(tick.served.is_empty() && !tick.panicked);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn offers_to_a_retired_shard_are_refused_with_a_typed_error() {
+        let dir = scratch("retired");
+        let mut s = shard(&dir);
+        s.fence(0);
+        let fenced = AdmissionError::ShardFenced { shard: 0 };
+        assert_eq!(s.offer_tagged("a", 64, 1, 1), Err(fenced.clone()));
+        s.kill();
+        assert_eq!(s.offer_tagged("a", 64, 2, 2), Err(fenced));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

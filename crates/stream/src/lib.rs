@@ -15,7 +15,8 @@
 //! | transient source errors | seeded exponential backoff | [`retry`] |
 //! | slow consumers | bounded queues + explicit overflow policy | [`queue`] |
 //! | sustained overload | deadline-miss degradation ladder with hysteresis | [`ladder`] |
-//! | worker panics / wedges | supervision: restart, watchdog, abandon | [`supervisor`] |
+//! | worker panics | in-place restart on the stage's own thread, per-stage budget | [`supervisor`] |
+//! | wedged stages | heartbeat watchdog fails the run, naming the stage | [`supervisor`] |
 //!
 //! Everything the resilience machinery does is recorded in a deterministic
 //! [`ServiceLog`], and on a clean stream the service's emissions are
@@ -51,10 +52,7 @@ pub use service::{
 pub use source::{
     FlakySource, ReplaySource, SampleSource, SourceChunk, SourceError, ValidatingSource,
 };
-pub use supervisor::{
-    supervise, Heartbeat, Stage, StageCtx, SupervisionError, SupervisionReport,
-    SupervisorConfig,
-};
+pub use supervisor::{SupervisionError, SupervisorConfig};
 
 /// Commonly used types for streaming consumers.
 pub mod prelude {

@@ -36,7 +36,7 @@ pub enum ServiceEvent {
         /// Retries the read needed.
         retries: u32,
     },
-    /// A worker stage panicked and was restarted.
+    /// A worker stage panicked and was restarted on its own thread.
     WorkerPanicked {
         /// Stage name.
         stage: &'static str,
@@ -44,13 +44,6 @@ pub enum ServiceEvent {
         restarts: u32,
         /// The panic message, if it carried one.
         message: String,
-    },
-    /// A worker stopped heartbeating and was abandoned + replaced.
-    WatchdogFired {
-        /// Stage name.
-        stage: &'static str,
-        /// Restarts of this stage so far (this one included).
-        restarts: u32,
     },
     /// A full queue evicted its oldest item (`DropOldest` policy).
     ChunkDropped {
@@ -146,14 +139,6 @@ impl ServiceLog {
             .count()
     }
 
-    /// Count of watchdog-driven worker replacements.
-    pub fn watchdog_fires(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ServiceEvent::WatchdogFired { .. }))
-            .count()
-    }
-
     /// Count of reads saved by retry.
     pub fn source_recoveries(&self) -> usize {
         self.events
@@ -240,7 +225,6 @@ mod tests {
         assert_eq!(log.transitions().len(), 3);
         assert_eq!(log.worst_level(), Some(EnergyOnly));
         assert_eq!(log.panics(), 1);
-        assert_eq!(log.watchdog_fires(), 0);
         assert_eq!(log.source_recoveries(), 1);
     }
 

@@ -19,23 +19,25 @@
 //!   the [`DegradationLadder`] currently allows, feeding the ladder each
 //!   region's deadline outcome.
 //!
-//! All three run under [`supervise`]: panics are absorbed and the worker
-//! restarted, wedged workers are abandoned and replaced, and the whole run
-//! is bounded by a global timeout — the service can degrade and can fail
-//! with an error, but it cannot hang and it cannot crash the caller.
+//! All three run under the [`supervisor`](crate::supervisor): a panicked
+//! stage restarts on its own thread, a wedged stage fails the run after the
+//! watchdog interval, and the whole run is bounded by a global timeout —
+//! the service can degrade and can fail with an error, but it cannot hang
+//! and it cannot crash the caller.
 
 use crate::ladder::{DegradationLadder, LadderConfig, LevelCap};
 use crate::log::{ServiceEvent, ServiceLog};
 use crate::queue::{BoundedQueue, ByteGauge, OverflowPolicy, PopOutcome, PushOutcome};
 use crate::retry::{retry_with_backoff, RetryError, RetryPolicy};
 use crate::source::{SampleSource, SourceChunk, SourceError, ValidatingSource};
-use crate::supervisor::{supervise, Stage, StageCtx, SupervisionError, SupervisorConfig};
+use crate::supervisor::{supervise, Heartbeat, StageWork, SupervisionError, SupervisorConfig};
 use emoleak_core::online::{
     extract_window, InferenceLevel, ModelBundle, RegionFeatures, Verdict,
 };
+use emoleak_exec::CancellationToken;
 use emoleak_features::regions::RegionDetector;
 use emoleak_features::spectrogram::SpectrogramGenerator;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -182,8 +184,6 @@ pub struct StreamStats {
     pub level_counts: [u64; 5],
     /// Worker restarts after panics.
     pub panic_restarts: u32,
-    /// Worker replacements after watchdog timeouts.
-    pub watchdog_fires: u32,
 }
 
 /// Everything a completed run produced.
@@ -204,26 +204,26 @@ pub struct StreamReport {
 pub enum StreamError {
     /// The source failed fatally (or never stopped failing transiently).
     Source(String),
-    /// Supervision gave up: restart budget exhausted or global timeout.
-    Supervision(SupervisionError),
+    /// Supervision gave up: restart budget exhausted, a stage wedged, or
+    /// the global timeout elapsed.
+    Supervision {
+        /// Why supervision gave up.
+        error: SupervisionError,
+        /// The resilience events logged up to that point.
+        log: ServiceLog,
+    },
 }
 
 impl core::fmt::Display for StreamError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             StreamError::Source(why) => write!(f, "source failed: {why}"),
-            StreamError::Supervision(e) => write!(f, "supervision failed: {e}"),
+            StreamError::Supervision { error, .. } => write!(f, "supervision failed: {error}"),
         }
     }
 }
 
 impl std::error::Error for StreamError {}
-
-impl From<SupervisionError> for StreamError {
-    fn from(e: SupervisionError) -> Self {
-        StreamError::Supervision(e)
-    }
-}
 
 /// Reassembles in-order chunks into whole playback windows.
 ///
@@ -319,14 +319,14 @@ impl StreamService {
     ///
     /// [`StreamError::Source`] on a fatal (or permanently transient)
     /// source failure, [`StreamError::Supervision`] when a stage exceeds
-    /// its restart budget or the run times out. Degradation is *not* an
-    /// error — an overloaded run returns `Ok` with the ladder transitions
-    /// in the report.
+    /// its restart budget, a stage wedges, or the run times out.
+    /// Degradation is *not* an error — an overloaded run returns `Ok` with
+    /// the ladder transitions in the report.
     pub fn run(&self, source: Box<dyn SampleSource>) -> Result<StreamReport, StreamError> {
         let cfg = self.config.clone();
         // Every chunk is screened for hostile input before it enters the
         // pipeline; the first defect fails the run as a fatal source error.
-        let source: Box<dyn SampleSource> = Box::new(ValidatingSource::new(source));
+        let mut source = ValidatingSource::new(source);
         let mut chunk_q = BoundedQueue::new(cfg.queue_capacity, cfg.overflow);
         let mut region_q = BoundedQueue::new(cfg.queue_capacity, OverflowPolicy::Block);
         if let Some(gauge) = &cfg.memory {
@@ -338,15 +338,13 @@ impl StreamService {
         let log = Arc::new(Mutex::new(ServiceLog::new()));
         let counters = Arc::new(Counters::default());
         let fatal: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let source = Arc::new(Mutex::new(source));
-        let assembler = Arc::new(Mutex::new(Assembler::default()));
         let best = self.bundle.effective_level(cfg.start_level);
         let ladder = Arc::new(Mutex::new(DegradationLadder::new(cfg.ladder, best)));
         let emissions: Arc<Mutex<Vec<RegionEmission>>> = Arc::new(Mutex::new(Vec::new()));
-        let panic_fired = Arc::new(AtomicBool::new(false));
 
-        let ingest = {
-            let source = Arc::clone(&source);
+        // State only one stage touches lives in its closure: a restart
+        // after a panic runs the same closure on the same thread.
+        let ingest: StageWork = {
             let chunk_q = Arc::clone(&chunk_q);
             let region_q = Arc::clone(&region_q);
             let log = Arc::clone(&log);
@@ -354,21 +352,18 @@ impl StreamService {
             let fatal = Arc::clone(&fatal);
             let retry = cfg.retry.clone();
             let patience = cfg.patience;
-            Stage::new("ingest", move |ctx| {
+            Box::new(move |token: &CancellationToken, heartbeat: &Heartbeat| {
                 let mut dry_cycles = 0u32;
                 loop {
-                    if ctx.token.is_cancelled() {
+                    if token.is_cancelled() {
                         return;
                     }
-                    ctx.heartbeat.beat();
-                    let outcome = {
-                        let mut src = locked(&source);
-                        retry_with_backoff(&retry, &ctx.token, || match src.next_chunk() {
-                            Ok(v) => Ok(Ok(v)),
-                            Err(SourceError::Transient(e)) => Ok(Err(e)),
-                            Err(SourceError::Fatal(e)) => Err(e),
-                        })
-                    };
+                    heartbeat.beat();
+                    let outcome = retry_with_backoff(&retry, token, || match source.next_chunk() {
+                        Ok(v) => Ok(Ok(v)),
+                        Err(SourceError::Transient(e)) => Ok(Err(e)),
+                        Err(SourceError::Fatal(e)) => Err(e),
+                    });
                     match outcome {
                         Ok((Some(chunk), tries)) => {
                             dry_cycles = 0;
@@ -381,7 +376,7 @@ impl StreamService {
                             }
                             let mut item = chunk;
                             loop {
-                                if ctx.token.is_cancelled() {
+                                if token.is_cancelled() {
                                     return;
                                 }
                                 match chunk_q.push(item, patience) {
@@ -396,7 +391,7 @@ impl StreamService {
                                     Err(back) => {
                                         // Backpressure: consumer is busy.
                                         item = back;
-                                        ctx.heartbeat.beat();
+                                        heartbeat.beat();
                                     }
                                 }
                             }
@@ -434,29 +429,29 @@ impl StreamService {
             })
         };
 
-        let extract = {
+        let extract: StageWork = {
             let chunk_q = Arc::clone(&chunk_q);
             let region_q = Arc::clone(&region_q);
             let counters = Arc::clone(&counters);
-            let assembler = Arc::clone(&assembler);
-            let panic_fired = Arc::clone(&panic_fired);
             let detector = self.detector.clone();
             let use_cnn = self.bundle.has_cnn();
             let fs = self.fs;
             let patience = cfg.patience;
             let panic_after = cfg.panic_after_chunks;
-            Stage::new("extract", move |ctx| {
+            let mut assembler = Assembler::default();
+            let mut panic_fired = false;
+            Box::new(move |token: &CancellationToken, heartbeat: &Heartbeat| {
                 let spec_gen = use_cnn.then(SpectrogramGenerator::for_accel);
                 // Detect + featurize one window, pushing its regions on.
                 // `false` means the region queue closed or we were
                 // cancelled: stop the stage.
-                let emit_window = |ctx: &StageCtx, window: usize, label: usize, buf: &[f64]| {
+                let emit_window = |window: usize, label: usize, buf: &[f64]| {
                     counters.windows.fetch_add(1, Ordering::Relaxed);
                     let ex = extract_window(buf, fs, &detector, spec_gen.as_ref(), label);
                     for rf in ex.rows {
                         let mut item = PendingRegion { window, truth: label, rf };
                         loop {
-                            if ctx.token.is_cancelled() {
+                            if token.is_cancelled() {
                                 return false;
                             }
                             match region_q.push(item, patience) {
@@ -464,7 +459,7 @@ impl StreamService {
                                 Ok(_) => break,
                                 Err(back) => {
                                     item = back;
-                                    ctx.heartbeat.beat();
+                                    heartbeat.beat();
                                 }
                             }
                         }
@@ -472,28 +467,27 @@ impl StreamService {
                     true
                 };
                 loop {
-                    if ctx.token.is_cancelled() {
+                    if token.is_cancelled() {
                         return;
                     }
-                    ctx.heartbeat.beat();
+                    heartbeat.beat();
                     match chunk_q.pop(patience) {
                         PopOutcome::TimedOut => continue,
                         PopOutcome::Done => {
-                            if let Some((w, l, buf)) = locked(&assembler).flush() {
-                                emit_window(ctx, w, l, &buf);
+                            if let Some((w, l, buf)) = assembler.flush() {
+                                emit_window(w, l, &buf);
                             }
                             region_q.close();
                             return;
                         }
                         PopOutcome::Item(chunk) => {
                             let n = counters.chunks_processed.fetch_add(1, Ordering::Relaxed);
-                            if panic_after == Some(n)
-                                && !panic_fired.swap(true, Ordering::Relaxed)
-                            {
+                            if panic_after == Some(n) && !panic_fired {
+                                panic_fired = true;
                                 panic!("injected chaos panic in extract");
                             }
-                            for (w, l, buf) in locked(&assembler).feed(chunk) {
-                                if !emit_window(ctx, w, l, &buf) {
+                            for (w, l, buf) in assembler.feed(chunk) {
+                                if !emit_window(w, l, &buf) {
                                     return;
                                 }
                             }
@@ -503,7 +497,7 @@ impl StreamService {
             })
         };
 
-        let classify = {
+        let classify: StageWork = {
             let region_q = Arc::clone(&region_q);
             let counters = Arc::clone(&counters);
             let ladder = Arc::clone(&ladder);
@@ -515,12 +509,12 @@ impl StreamService {
             let latency_override = cfg.latency_override;
             let durable = cfg.durable.clone();
             let fleet_cap = cfg.fleet_cap.clone();
-            Stage::new("classify", move |ctx| {
+            Box::new(move |token: &CancellationToken, heartbeat: &Heartbeat| {
                 loop {
-                    if ctx.token.is_cancelled() {
+                    if token.is_cancelled() {
                         return;
                     }
-                    ctx.heartbeat.beat();
+                    heartbeat.beat();
                     match region_q.pop(patience) {
                         PopOutcome::TimedOut => continue,
                         PopOutcome::Done => return,
@@ -584,12 +578,15 @@ impl StreamService {
             })
         };
 
-        let sup = supervise(&[ingest, extract, classify], &cfg.supervisor, &log);
+        let stages = vec![("ingest", ingest), ("extract", extract), ("classify", classify)];
+        let supervised = supervise(stages, &cfg.supervisor, &log);
         let fatal_message = locked(&fatal).take();
-        let sup = match (sup, fatal_message) {
+        let panic_restarts = match (supervised, fatal_message) {
             (_, Some(message)) => return Err(StreamError::Source(message)),
-            (Err(e), None) => return Err(e.into()),
-            (Ok(r), None) => r,
+            (Err(error), None) => {
+                return Err(StreamError::Supervision { error, log: locked(&log).clone() })
+            }
+            (Ok(restarts), None) => restarts,
         };
 
         let stats = StreamStats {
@@ -609,8 +606,7 @@ impl StreamService {
                 counters.level_counts[3].load(Ordering::Relaxed),
                 counters.level_counts[4].load(Ordering::Relaxed),
             ],
-            panic_restarts: sup.panic_restarts,
-            watchdog_fires: sup.watchdog_fires,
+            panic_restarts,
         };
         let final_level = locked(&ladder).level();
         let emissions = std::mem::take(&mut *locked(&emissions));
@@ -779,6 +775,89 @@ mod tests {
         // The panicked chunk is lost, the rest of the stream is not.
         assert!(report.stats.regions > 0);
         assert_eq!(report.stats.chunks_processed, report.stats.chunks_ingested);
+    }
+
+    /// Replays `inner` for `healthy` reads, then blocks inside `next_chunk`
+    /// until the test drops the sending half of `release`.
+    struct WedgingSource {
+        inner: ReplaySource,
+        healthy: u32,
+        entries: Arc<AtomicU64>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl SampleSource for WedgingSource {
+        fn next_chunk(&mut self) -> Result<Option<SourceChunk>, SourceError> {
+            if self.entries.fetch_add(1, Ordering::Relaxed) >= u64::from(self.healthy) {
+                let _ = self.release.recv();
+                return Ok(None);
+            }
+            self.inner.next_chunk()
+        }
+    }
+
+    #[test]
+    fn wedged_source_fails_the_run_naming_ingest_within_the_watchdog() {
+        let fix = fixture();
+        let watchdog = Duration::from_millis(250);
+        let svc = service(StreamConfig {
+            supervisor: SupervisorConfig { watchdog, ..SupervisorConfig::default() },
+            ..fast_config()
+        });
+        let entries = Arc::new(AtomicU64::new(0));
+        let (release, wait) = std::sync::mpsc::channel();
+        let source = WedgingSource {
+            inner: ReplaySource::from_campaign(&fix.campaign, 256),
+            healthy: 3,
+            entries: Arc::clone(&entries),
+            release: wait,
+        };
+        let started = Instant::now();
+        let err = svc.run(Box::new(source)).unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(
+                err,
+                StreamError::Supervision {
+                    error: SupervisionError::Wedged { stage: "ingest" },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(elapsed < 2 * watchdog, "wedge detected after {elapsed:?}");
+        // Three healthy reads, then the one read that wedged.
+        assert_eq!(entries.load(Ordering::Relaxed), 4);
+        drop(release);
+    }
+
+    /// Panics on every read.
+    struct PanickingSource;
+
+    impl SampleSource for PanickingSource {
+        fn next_chunk(&mut self) -> Result<Option<SourceChunk>, SourceError> {
+            panic!("sensor driver fault");
+        }
+    }
+
+    #[test]
+    fn always_panicking_source_exhausts_the_ingest_restart_budget() {
+        let svc = service(fast_config());
+        let budget = svc.config().supervisor.max_restarts;
+        let err = svc.run(Box::new(PanickingSource)).unwrap_err();
+        let StreamError::Supervision { error, log } = err else {
+            panic!("expected a supervision failure, got {err:?}");
+        };
+        assert_eq!(
+            error,
+            SupervisionError::TooManyRestarts { stage: "ingest", restarts: budget + 1 }
+        );
+        assert_eq!(log.panics(), budget as usize + 1);
+        assert!(log.events().iter().all(|e| matches!(
+            e,
+            ServiceEvent::WorkerPanicked { stage: "ingest", message, .. }
+                if message == "sensor driver fault"
+        )));
     }
 
     #[test]

@@ -1,24 +1,33 @@
-//! Worker supervision: restart crashed stages, replace wedged ones.
+//! Worker supervision: stages restart in place, wedges fail the run.
 //!
 //! The streaming pipeline's stages run as plain `std` threads, so the two
 //! failure modes a long-lived service must survive are a **panic** (the
-//! thread dies) and a **wedge** (the thread lives but stops making
-//! progress). The supervisor handles both: every worker runs under
-//! `catch_unwind` and reports a heartbeat; the supervisor polls, restarts
-//! dead workers (bounded by a restart budget), and — since a `std` thread
-//! cannot be killed — *abandons* wedged ones after a watchdog timeout by
-//! cancelling their [`CancellationToken`] and spawning a replacement.
+//! stage's loop unwinds) and a **wedge** (the thread lives but stops making
+//! progress). `supervise` starts one thread per stage and handles both:
+//!
+//! * each thread runs its stage under `catch_unwind` and, after a panic,
+//!   calls the same work again on the same thread, up to a restart budget;
+//! * each stage beats a `Heartbeat`, and a stage that stays still for the
+//!   watchdog interval fails the run at once with
+//!   [`SupervisionError::Wedged`]. Nothing is respawned: a `std` thread
+//!   cannot be killed, and a stage can only wedge inside something its
+//!   replacement would need too (the source, the CNN or journal mutex).
+//!   The run's token is cancelled and the thread left behind.
+//!
+//! Each thread reports its end on a completion channel, and `supervise`
+//! blocks on that channel, so it returns as soon as the last stage ends.
 //!
 //! Stages must therefore be written re-entrantly: all progress state lives
-//! in shared structures (queues, assembler, counters), so a replacement
-//! worker resumes where its predecessor stopped, and every wait is timed so
-//! a cooperating worker re-checks its token even when no data flows.
+//! outside the stage loop, in shared structures (queues, counters) or in
+//! the stage's own closure (the chunk assembler), so a restarted loop
+//! resumes where the panicked one stopped. Every wait is timed, so a stage
+//! re-checks the token and beats even when no data flows.
 
 use crate::log::{ServiceEvent, ServiceLog};
 use emoleak_exec::CancellationToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Supervision tuning.
@@ -26,11 +35,9 @@ use std::time::{Duration, Instant};
 pub struct SupervisorConfig {
     /// Restarts allowed *per stage* before the service gives up.
     pub max_restarts: u32,
-    /// How long a worker may go without beating its heartbeat before it is
-    /// declared wedged and replaced.
+    /// How long a stage may go without beating its heartbeat before it is
+    /// declared wedged and the run fails.
     pub watchdog: Duration,
-    /// Supervisor polling cadence.
-    pub poll: Duration,
     /// Global bound on the whole run — the final liveness backstop: if the
     /// pipeline stops converging for any reason, the run ends with
     /// [`SupervisionError::Stalled`] instead of hanging.
@@ -42,68 +49,36 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_restarts: 3,
             watchdog: Duration::from_secs(2),
-            poll: Duration::from_millis(2),
             run_timeout: Duration::from_secs(120),
         }
     }
 }
 
-/// A worker's liveness signal. Cheap to clone; beat it at least once per
+/// A stage's liveness signal. Cheap to clone; beat it at least once per
 /// loop iteration (including idle iterations).
-#[derive(Debug, Clone, Default)]
-pub struct Heartbeat {
-    count: Arc<AtomicU64>,
+#[derive(Debug, Clone)]
+pub(crate) struct Heartbeat {
+    epoch: Instant,
+    /// Nanoseconds from `epoch` to the latest beat.
+    last: Arc<AtomicU64>,
+}
+
+impl Default for Heartbeat {
+    fn default() -> Self {
+        Heartbeat { epoch: Instant::now(), last: Arc::default() }
+    }
 }
 
 impl Heartbeat {
     /// Signals one unit of progress (or liveness while idle).
-    pub fn beat(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn beat(&self) {
+        let nanos = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.last.store(nanos, Ordering::Relaxed);
     }
 
-    /// Monotonic beat counter.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-/// What a running worker gets from the supervisor.
-#[derive(Debug, Clone)]
-pub struct StageCtx {
-    /// Cooperative stop signal: checked by the worker between items. Fired
-    /// when the worker is abandoned, or when the whole service shuts down
-    /// on a fatal error.
-    pub token: CancellationToken,
-    /// The worker's liveness signal.
-    pub heartbeat: Heartbeat,
-}
-
-/// A supervised pipeline stage: a name and a re-entrant work function.
-///
-/// The function is the *whole stage loop* — it runs until the stage's input
-/// is exhausted (clean completion) or its token fires. On restart the same
-/// function is invoked again with a fresh context.
-#[derive(Clone)]
-pub struct Stage {
-    name: &'static str,
-    work: Arc<dyn Fn(&StageCtx) + Send + Sync>,
-}
-
-impl Stage {
-    /// A named stage running `work`.
-    pub fn new(name: &'static str, work: impl Fn(&StageCtx) + Send + Sync + 'static) -> Self {
-        Stage { name, work: Arc::new(work) }
-    }
-
-    /// The stage's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl core::fmt::Debug for Stage {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Stage").field("name", &self.name).finish()
+    /// When the heartbeat last beat (when it was made, if it never has).
+    pub(crate) fn last_beat(&self) -> Instant {
+        self.epoch + Duration::from_nanos(self.last.load(Ordering::Relaxed))
     }
 }
 
@@ -117,6 +92,11 @@ pub enum SupervisionError {
         /// Restarts it consumed.
         restarts: u32,
     },
+    /// One stage's heartbeat stayed still for the whole watchdog interval.
+    Wedged {
+        /// The stage that stopped making progress.
+        stage: &'static str,
+    },
     /// The run exceeded its global timeout without completing.
     Stalled,
 }
@@ -127,6 +107,9 @@ impl core::fmt::Display for SupervisionError {
             SupervisionError::TooManyRestarts { stage, restarts } => {
                 write!(f, "stage '{stage}' exceeded its restart budget ({restarts} restarts)")
             }
+            SupervisionError::Wedged { stage } => {
+                write!(f, "stage '{stage}' stopped beating its heartbeat")
+            }
             SupervisionError::Stalled => write!(f, "run exceeded its global timeout"),
         }
     }
@@ -134,27 +117,10 @@ impl core::fmt::Display for SupervisionError {
 
 impl std::error::Error for SupervisionError {}
 
-/// What supervision absorbed while keeping the pipeline alive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisionReport {
-    /// Worker restarts after panics.
-    pub panic_restarts: u32,
-    /// Worker replacements after watchdog timeouts.
-    pub watchdog_fires: u32,
-}
-
-struct Worker {
-    stage: Stage,
-    token: CancellationToken,
-    heartbeat: Heartbeat,
-    done: Arc<AtomicBool>,
-    panic_message: Arc<Mutex<Option<String>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    last_count: u64,
-    last_progress: Instant,
-    restarts: u32,
-    completed: bool,
-}
+/// A stage's work: the whole stage loop, run until the stage's input is
+/// exhausted (clean completion) or the token fires. After a panic the same
+/// work is called again on the same thread.
+pub(crate) type StageWork = Box<dyn FnMut(&CancellationToken, &Heartbeat) + Send>;
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -166,154 +132,97 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn spawn(stage: &Stage) -> Worker {
-    let token = CancellationToken::new();
-    let heartbeat = Heartbeat::default();
-    let done = Arc::new(AtomicBool::new(false));
-    let panic_message: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let ctx = StageCtx { token: token.clone(), heartbeat: heartbeat.clone() };
-    let work = Arc::clone(&stage.work);
-    let done_flag = Arc::clone(&done);
-    let message = Arc::clone(&panic_message);
-    let handle = std::thread::spawn(move || {
-        match catch_unwind(AssertUnwindSafe(|| work(&ctx))) {
-            Ok(()) => done_flag.store(true, Ordering::Release),
-            Err(payload) => {
-                *message.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some(panic_text(payload));
-            }
-        }
-    });
-    Worker {
-        stage: stage.clone(),
-        token,
-        heartbeat,
-        done,
-        panic_message,
-        handle: Some(handle),
-        last_count: 0,
-        last_progress: Instant::now(),
-        restarts: 0,
-        completed: false,
-    }
-}
-
-/// Runs `stages` to completion under supervision.
+/// Runs each named stage on a thread of its own until every one has
+/// returned cleanly, and returns the panic restarts absorbed on the way.
 ///
-/// Resilience events (panics absorbed, watchdog replacements) are appended
-/// to `log`. Returns when every stage's work function has returned cleanly.
+/// Absorbed panics are appended to `log` as `WorkerPanicked` events.
 ///
 /// # Errors
 ///
-/// [`SupervisionError::TooManyRestarts`] when a stage dies more than
-/// `max_restarts` times, [`SupervisionError::Stalled`] when the global
-/// `run_timeout` elapses first. Either way every worker token is cancelled
-/// before returning, so cooperating workers wind down.
-pub fn supervise(
-    stages: &[Stage],
+/// [`SupervisionError::TooManyRestarts`] when a stage panics more than
+/// `max_restarts` times, [`SupervisionError::Wedged`] when a stage's
+/// heartbeat stays still for `watchdog`, [`SupervisionError::Stalled`] when
+/// the global `run_timeout` elapses first. Each cancels the token every
+/// stage holds before returning, so cooperating stages wind down.
+pub(crate) fn supervise(
+    stages: Vec<(&'static str, StageWork)>,
     config: &SupervisorConfig,
     log: &Arc<Mutex<ServiceLog>>,
-) -> Result<SupervisionReport, SupervisionError> {
-    let started = Instant::now();
-    let mut report = SupervisionReport::default();
-    let mut workers: Vec<Worker> = stages.iter().map(spawn).collect();
-    let cancel_all = |workers: &mut [Worker]| {
-        for w in workers.iter() {
-            w.token.cancel();
-        }
-        // Join what can be joined so no cooperating worker outlives the
-        // call; genuinely wedged threads are left behind by design.
-        for w in workers.iter_mut() {
-            if let Some(h) = w.handle.take() {
-                if h.is_finished() {
-                    let _ = h.join();
-                }
-            }
-        }
-    };
-    loop {
-        if workers.iter().all(|w| w.completed) {
-            return Ok(report);
-        }
-        if started.elapsed() >= config.run_timeout {
-            cancel_all(&mut workers);
-            return Err(SupervisionError::Stalled);
-        }
-        for i in 0..workers.len() {
-            let w = &mut workers[i];
-            if w.completed {
-                continue;
-            }
-            let finished = w.handle.as_ref().is_none_or(|h| h.is_finished());
-            if finished {
-                if let Some(h) = w.handle.take() {
-                    let _ = h.join();
-                }
-                if w.done.load(Ordering::Acquire) {
-                    w.completed = true;
-                    continue;
-                }
-                // Panicked: restart if the budget allows.
-                w.restarts += 1;
-                report.panic_restarts += 1;
-                let message = w
-                    .panic_message
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .unwrap_or_default();
-                log.lock().unwrap_or_else(|e| e.into_inner()).push(
-                    ServiceEvent::WorkerPanicked {
-                        stage: w.stage.name,
-                        restarts: w.restarts,
-                        message,
-                    },
-                );
-                if w.restarts > config.max_restarts {
-                    let err = SupervisionError::TooManyRestarts {
-                        stage: w.stage.name,
-                        restarts: w.restarts,
-                    };
-                    cancel_all(&mut workers);
-                    return Err(err);
-                }
-                let restarts = w.restarts;
-                let mut fresh = spawn(&w.stage);
-                fresh.restarts = restarts;
-                workers[i] = fresh;
-            } else {
-                // Watchdog: no heartbeat progress for too long → abandon.
-                let count = w.heartbeat.count();
-                if count != w.last_count {
-                    w.last_count = count;
-                    w.last_progress = Instant::now();
-                } else if w.last_progress.elapsed() >= config.watchdog {
-                    w.token.cancel();
-                    w.restarts += 1;
-                    report.watchdog_fires += 1;
-                    log.lock().unwrap_or_else(|e| e.into_inner()).push(
-                        ServiceEvent::WatchdogFired {
-                            stage: w.stage.name,
-                            restarts: w.restarts,
-                        },
-                    );
-                    if w.restarts > config.max_restarts {
-                        let err = SupervisionError::TooManyRestarts {
-                            stage: w.stage.name,
-                            restarts: w.restarts,
-                        };
-                        cancel_all(&mut workers);
-                        return Err(err);
+) -> Result<u32, SupervisionError> {
+    let run_deadline = Instant::now() + config.run_timeout;
+    let token = CancellationToken::new();
+    // `done_tx` lives until return, so the channel can time out but never
+    // disconnect while a stage is still running.
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut live = Vec::new();
+    for (index, (stage, mut work)) in stages.into_iter().enumerate() {
+        let heartbeat = Heartbeat::default();
+        let watched = heartbeat.clone();
+        let (token, log, done_tx) = (token.clone(), Arc::clone(log), done_tx.clone());
+        let max_restarts = config.max_restarts;
+        let thread = std::thread::spawn(move || {
+            let mut restarts = 0;
+            let end = loop {
+                match catch_unwind(AssertUnwindSafe(|| work(&token, &heartbeat))) {
+                    Ok(()) => break Ok(restarts),
+                    Err(payload) => {
+                        restarts += 1;
+                        log.lock().unwrap_or_else(|e| e.into_inner()).push(
+                            ServiceEvent::WorkerPanicked {
+                                stage,
+                                restarts,
+                                message: panic_text(payload),
+                            },
+                        );
+                        if restarts > max_restarts {
+                            break Err(SupervisionError::TooManyRestarts { stage, restarts });
+                        }
                     }
-                    let restarts = w.restarts;
-                    let mut fresh = spawn(&w.stage);
-                    fresh.restarts = restarts;
-                    workers[i] = fresh; // old handle dropped: thread abandoned
+                }
+            };
+            let _ = done_tx.send((index, end));
+        });
+        live.push(Some((stage, watched, thread)));
+    }
+
+    // A failed run leaves its threads detached: a wedged one never ends.
+    let fail = |err| {
+        token.cancel();
+        Err(err)
+    };
+    let mut panic_restarts = 0;
+    while live.iter().any(Option::is_some) {
+        let wake = live
+            .iter()
+            .flatten()
+            .map(|(_, hb, _)| hb.last_beat() + config.watchdog)
+            .fold(run_deadline, Instant::min);
+        match done_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            Ok((index, Ok(restarts))) => {
+                if let Some((_, _, thread)) = live[index].take() {
+                    // The stage has reported its end, so this waits only
+                    // for its thread to exit.
+                    thread.join().expect("a stage thread panics only inside catch_unwind");
+                }
+                panic_restarts += restarts;
+            }
+            Ok((_, Err(err))) => return fail(err),
+            Err(_) => {
+                let now = Instant::now();
+                if now >= run_deadline {
+                    return fail(SupervisionError::Stalled);
+                }
+                let wedged = live
+                    .iter()
+                    .flatten()
+                    .find(|(_, hb, _)| now >= hb.last_beat() + config.watchdog);
+                if let Some(&(stage, ..)) = wedged {
+                    return fail(SupervisionError::Wedged { stage });
                 }
             }
         }
-        std::thread::sleep(config.poll);
     }
+    Ok(panic_restarts)
 }
 
 #[cfg(test)]
@@ -325,7 +234,6 @@ mod tests {
         SupervisorConfig {
             max_restarts: 3,
             watchdog: Duration::from_millis(60),
-            poll: Duration::from_millis(2),
             run_timeout: Duration::from_secs(20),
         }
     }
@@ -334,21 +242,27 @@ mod tests {
         Arc::new(Mutex::new(ServiceLog::new()))
     }
 
+    fn stage(
+        name: &'static str,
+        work: impl FnMut(&CancellationToken, &Heartbeat) + Send + 'static,
+    ) -> (&'static str, StageWork) {
+        (name, Box::new(work))
+    }
+
     #[test]
     fn clean_stages_complete_without_events() {
         let log = fresh_log();
         let hits = Arc::new(AtomicU32::new(0));
-        let stages: Vec<Stage> = (0..3)
+        let stages = (0..3)
             .map(|_| {
                 let hits = Arc::clone(&hits);
-                Stage::new("worker", move |ctx| {
-                    ctx.heartbeat.beat();
+                stage("worker", move |_, hb| {
+                    hb.beat();
                     hits.fetch_add(1, Ordering::Relaxed);
                 })
             })
             .collect();
-        let report = supervise(&stages, &test_config(), &log).unwrap();
-        assert_eq!(report, SupervisionReport::default());
+        assert_eq!(supervise(stages, &test_config(), &log), Ok(0));
         assert_eq!(hits.load(Ordering::Relaxed), 3);
         assert!(log.lock().unwrap().events().is_empty());
     }
@@ -358,16 +272,20 @@ mod tests {
         let log = fresh_log();
         let attempts = Arc::new(AtomicU32::new(0));
         let a = Arc::clone(&attempts);
-        let stage = Stage::new("flaky", move |ctx| {
-            ctx.heartbeat.beat();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let t = Arc::clone(&seen);
+        let flaky = stage("flaky", move |_, hb| {
+            hb.beat();
+            t.lock().unwrap().push(std::thread::current().id());
             assert!(
                 a.fetch_add(1, Ordering::Relaxed) >= 2,
                 "intentional crash while warming up"
             );
         });
-        let report = supervise(&[stage], &test_config(), &log).unwrap();
-        assert_eq!(report.panic_restarts, 2);
+        assert_eq!(supervise(vec![flaky], &test_config(), &log), Ok(2));
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
+        let threads = seen.lock().unwrap();
+        assert!(threads.iter().all(|id| *id == threads[0]), "restarts stay on one thread");
         let log = log.lock().unwrap();
         assert_eq!(log.panics(), 2);
         // The panic message is captured into the log.
@@ -381,34 +299,40 @@ mod tests {
     #[test]
     fn restart_budget_is_enforced() {
         let log = fresh_log();
-        let stage = Stage::new("doomed", |ctx| {
-            ctx.heartbeat.beat();
+        let doomed = stage("doomed", |_, hb| {
+            hb.beat();
             panic!("always");
         });
-        let err = supervise(&[stage], &test_config(), &log).unwrap_err();
+        let err = supervise(vec![doomed], &test_config(), &log).unwrap_err();
         assert_eq!(err, SupervisionError::TooManyRestarts { stage: "doomed", restarts: 4 });
         assert_eq!(log.lock().unwrap().panics(), 4);
     }
 
     #[test]
-    fn wedged_stage_is_abandoned_and_replaced() {
+    fn wedged_stage_fails_the_run_at_once() {
         let log = fresh_log();
-        let attempts = Arc::new(AtomicU32::new(0));
-        let a = Arc::clone(&attempts);
-        let stage = Stage::new("wedgy", move |ctx| {
-            ctx.heartbeat.beat();
-            if a.fetch_add(1, Ordering::Relaxed) == 0 {
-                // Wedge: stop beating but keep (cooperatively) sleeping.
-                // The watchdog must abandon this worker, not wait for it.
-                while !ctx.token.is_cancelled() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+        let config = SupervisorConfig { watchdog: Duration::from_millis(200), ..test_config() };
+        let (entered_tx, entered) = mpsc::channel();
+        let (released_tx, released) = mpsc::channel();
+        // Wedge: stop beating but keep (cooperatively) sleeping. The
+        // watchdog must fail the run, not wait for it or start a twin.
+        let wedgy = stage("wedgy", move |token, hb| {
+            hb.beat();
+            entered_tx.send(()).unwrap();
+            while !token.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(5));
             }
+            released_tx.send(()).unwrap();
         });
-        let report = supervise(&[stage], &test_config(), &log).unwrap();
-        assert_eq!(report.watchdog_fires, 1);
-        assert_eq!(attempts.load(Ordering::Relaxed), 2);
-        assert_eq!(log.lock().unwrap().watchdog_fires(), 1);
+        let started = Instant::now();
+        let err = supervise(vec![wedgy], &config, &log).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(err, SupervisionError::Wedged { stage: "wedgy" });
+        assert!(elapsed < 2 * config.watchdog, "wedge detected after {elapsed:?}");
+        assert!(log.lock().unwrap().events().is_empty());
+        // The cancelled token wound the stage down, and it never ran twice.
+        released.recv_timeout(Duration::from_secs(5)).expect("token cancelled");
+        assert_eq!(entered.try_iter().count(), 1);
     }
 
     #[test]
@@ -421,17 +345,15 @@ mod tests {
         let seen_cancel = Arc::new(AtomicU32::new(0));
         let s = Arc::clone(&seen_cancel);
         // Beats forever, never completes: only the global timeout stops it.
-        let stage = Stage::new("spinner", move |ctx| {
-            loop {
-                ctx.heartbeat.beat();
-                if ctx.token.is_cancelled() {
-                    s.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+        let spinner = stage("spinner", move |token, hb| loop {
+            hb.beat();
+            if token.is_cancelled() {
+                s.fetch_add(1, Ordering::Relaxed);
+                return;
             }
+            std::thread::sleep(Duration::from_millis(1));
         });
-        let err = supervise(&[stage], &config, &log).unwrap_err();
+        let err = supervise(vec![spinner], &config, &log).unwrap_err();
         assert_eq!(err, SupervisionError::Stalled);
         // The worker observed cancellation (possibly just after supervise
         // returned; give it a beat).
@@ -442,21 +364,19 @@ mod tests {
     #[test]
     fn restarted_worker_resumes_shared_state() {
         // The contract stages are written against: progress lives in
-        // shared state, so a replacement continues, not restarts.
+        // shared state, so a restarted loop continues, not restarts.
         let log = fresh_log();
         let progress = Arc::new(AtomicU32::new(0));
         let p = Arc::clone(&progress);
-        let stage = Stage::new("resumer", move |ctx| {
-            loop {
-                ctx.heartbeat.beat();
-                let n = p.fetch_add(1, Ordering::Relaxed) + 1;
-                assert!(n != 5, "crash mid-stream");
-                if n >= 10 {
-                    return;
-                }
+        let resumer = stage("resumer", move |_, hb| loop {
+            hb.beat();
+            let n = p.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(n != 5, "crash mid-stream");
+            if n >= 10 {
+                return;
             }
         });
-        supervise(&[stage], &test_config(), &log).unwrap();
+        supervise(vec![resumer], &test_config(), &log).unwrap();
         assert_eq!(progress.load(Ordering::Relaxed), 10, "no work redone from scratch");
     }
 }
