@@ -64,7 +64,7 @@ fn bench_cnn(c: &mut Criterion) {
             black_box(net.fit(black_box(&tensors), black_box(&y), &[], &[], &cfg))
         });
     });
-    let mut net = feature_cnn_scaled(24, k, 1, 8);
+    let net = feature_cnn_scaled(24, k, 1, 8);
     c.bench_function("infer/feature_cnn_div8", |b| {
         b.iter(|| black_box(net.predict(black_box(&tensors[0]))));
     });

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emoleak_kernels::conv::{conv1d_fast, conv1d_ref, conv2d_fast, conv2d_ref};
 use emoleak_kernels::gemm::{gemm_fast, gemm_ref};
-use emoleak_kernels::{Activation, Conv1dScratch, Conv2dScratch};
+use emoleak_kernels::Activation;
 use std::hint::black_box;
 
 fn filled(n: usize, step: f64) -> Vec<f64> {
@@ -15,7 +15,10 @@ fn filled(n: usize, step: f64) -> Vec<f64> {
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
-    for &(m, k, n) in &[(8usize, 36usize, 1024usize), (16, 144, 1024)] {
+    // The spectrogram CNN's own GEMMs at the deployed width (divisor 4):
+    // conv2 (32 filters over 32·3·3 taps on 16x16), conv3 (16 over 32·3·3
+    // on 8x8) and the 1x1 conv1 (32 over 1 tap on 32x32).
+    for &(m, k, n) in &[(32usize, 288usize, 256usize), (16, 288, 64), (32, 1, 1024)] {
         let a = filled(m * k, 0.11);
         let b = filled(k * n, 0.07);
         let label = format!("{m}x{k}x{n}");
@@ -58,11 +61,10 @@ fn bench_conv2d(c: &mut Criterion) {
     });
     group.bench_function("fast", |bch| {
         let mut out = Vec::new();
-        let mut scratch = Conv2dScratch::default();
         bch.iter(|| {
             conv2d_fast(
                 black_box(&input), in_ch, h, w, out_ch, kh, kw,
-                &weights, &bias, Activation::Relu, &mut scratch, &mut out,
+                &weights, &bias, Activation::Relu, &mut out,
             );
             black_box(&out);
         });
@@ -89,11 +91,10 @@ fn bench_conv1d(c: &mut Criterion) {
     });
     group.bench_function("fast", |bch| {
         let mut out = Vec::new();
-        let mut scratch = Conv1dScratch::default();
         bch.iter(|| {
             conv1d_fast(
                 black_box(&input), in_ch, l, out_ch, k,
-                &weights, &bias, Activation::Relu, &mut scratch, &mut out,
+                &weights, &bias, Activation::Relu, &mut out,
             );
             black_box(&out);
         });

@@ -15,13 +15,14 @@
 
 use emoleak_bench::{results_dir, write_result};
 use emoleak_core::online::extract_window;
+use emoleak_core::pipeline::cnn_width_divisor;
 use emoleak_core::prelude::*;
 use emoleak_dsp::fft::Fft;
 use emoleak_dsp::{Complex, StftConfig};
 use emoleak_features::spectrogram::IMAGE_SIZE;
 use emoleak_features::{freq_domain, time_domain};
 use emoleak_kernels::conv::{conv2d_fast, conv2d_ref};
-use emoleak_kernels::{Activation, Conv2dScratch, KernelMode};
+use emoleak_kernels::{Activation, KernelMode};
 use emoleak_ml::nn::{spectrogram_cnn_scaled, QuantizedCnn, Tensor};
 use emoleak_stream::{ReplaySource, StreamConfig, StreamService};
 use std::hint::black_box;
@@ -122,11 +123,10 @@ fn main() -> Result<(), EmoleakError> {
             );
             black_box(&out);
         });
-        let mut scratch = Conv2dScratch::default();
         let fast_ns = time_ns(iters, || {
             conv2d_fast(
                 black_box(&input), in_ch, h, w, out_ch, kh, kw,
-                &weights, &bias, Activation::Relu, &mut scratch, &mut out,
+                &weights, &bias, Activation::Relu, &mut out,
             );
             black_box(&out);
         });
@@ -136,27 +136,20 @@ fn main() -> Result<(), EmoleakError> {
     // --- forward: the full spectrogram CNN, both modes + the int8 rung ----
     let int8_forward_ns;
     {
-        let mut net = spectrogram_cnn_scaled(7, 0xBE7C, 8);
+        // At the deployed width (`EMOLEAK_CNN_DIV`, default 4): a narrower
+        // net hides the cost of the 3x3 convolutions.
+        let net = spectrogram_cnn_scaled(7, 0xBE7C, cnn_width_divisor()?);
         let pixels: Vec<f64> =
             (0..IMAGE_SIZE * IMAGE_SIZE).map(|i| (i as f64 * 0.017).sin()).collect();
         let input = Tensor::from_shape(&[1, IMAGE_SIZE, IMAGE_SIZE], pixels);
-        // The Sequential conv layers dispatch on the env knob: this binary
-        // owns the process, so flipping it per measurement is safe.
-        std::env::set_var(emoleak_kernels::ENV_KERNELS, "reference");
-        let reference_ns = time_ns(iters, || {
-            black_box(net.predict(black_box(&input)));
+        for_mode_pair(&mut stages, "forward", iters, |mode| {
+            black_box(net.infer(black_box(&input), mode).unwrap());
         });
-        std::env::set_var(emoleak_kernels::ENV_KERNELS, "fast");
-        let fast_ns = time_ns(iters, || {
-            black_box(net.predict(black_box(&input)));
-        });
-        std::env::remove_var(emoleak_kernels::ENV_KERNELS);
         let quant = QuantizedCnn::from_sequential(&net)
             .expect("the spectrogram CNN must lower to int8");
         int8_forward_ns = time_ns(iters, || {
             black_box(quant.predict(black_box(&input)));
         });
-        stages.push(Stage { name: "forward", reference_ns, fast_ns });
     }
 
     // --- end to end: µs per verdict through the streaming service --------

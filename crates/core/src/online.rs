@@ -305,12 +305,12 @@ pub struct ModelBundle {
     /// Per-feature (mean, std) z-score parameters fitted on training data.
     norm: Vec<(f64, f64)>,
     classical: Logistic,
-    /// The spectrogram CNN (mutex because forward passes update layer
-    /// caches), absent when trained with [`ModelBundle::train`].
-    cnn: Option<parking_lot::Mutex<Sequential>>,
-    /// The int8-quantized lowering of `cnn` (no lock: prediction is
-    /// `&self`), absent when no CNN was trained or the architecture has
-    /// no quantized representation.
+    /// The spectrogram CNN, absent when trained with
+    /// [`ModelBundle::train`]. Its inference pass takes `&self`, so
+    /// concurrent sessions share it without a lock.
+    cnn: Option<Sequential>,
+    /// The int8-quantized lowering of `cnn`, absent when no CNN was
+    /// trained or the architecture has no quantized representation.
     cnn_int8: Option<QuantizedCnn>,
     /// Speech/silence threshold on the region's std-dev feature.
     energy_threshold: f64,
@@ -404,10 +404,8 @@ impl ModelBundle {
                 let (vx, tx) = xs.split_at(1);
                 let (vy, ty) = ys.split_at(1);
                 net.fit(tx, ty, vx, vy, &config);
-                // Lower the trained network to int8 once, while we still
-                // hold it outside the mutex.
                 cnn_int8 = QuantizedCnn::from_sequential(&net);
-                Some(parking_lot::Mutex::new(net))
+                Some(net)
             }
         };
         Ok(ModelBundle {
@@ -495,7 +493,7 @@ impl ModelBundle {
             InferenceLevel::Cnn => {
                 let input = Self::spectrogram_tensor(region)?;
                 let net = self.cnn.as_ref().expect("coerced above when absent");
-                Some(net.lock().try_predict(&input).map_err(EmoleakError::Shape)?)
+                Some(net.try_predict(&input).map_err(EmoleakError::Shape)?)
             }
             InferenceLevel::CnnInt8 => {
                 let input = Self::spectrogram_tensor(region)?;
@@ -541,6 +539,7 @@ mod tests {
     use super::*;
     use emoleak_phone::DeviceProfile;
     use emoleak_synth::CorpusSpec;
+    use std::sync::{Arc, Barrier};
 
     fn small_scenario() -> AttackScenario {
         AttackScenario::table_top(
@@ -554,6 +553,39 @@ mod tests {
             Ok(v) => std::env::set_var(name, v),
             Err(_) => std::env::remove_var(name),
         }
+    }
+
+    /// A CNN bundle trained for one cheap epoch on the narrow net: the
+    /// point is the plumbing (spectrogram tensors in, labels out), not
+    /// accuracy.
+    fn small_cnn_bundle() -> ModelBundle {
+        let h = small_scenario().harvest().unwrap();
+        // Pin the CNN cost knobs regardless of ambient env; the lock keeps
+        // sibling tests from observing them.
+        let _guard = crate::test_support::ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prior = (std::env::var("EMOLEAK_EPOCHS"), std::env::var("EMOLEAK_CNN_DIV"));
+        std::env::set_var("EMOLEAK_EPOCHS", "1");
+        std::env::set_var("EMOLEAK_CNN_DIV", "8");
+        let bundle = ModelBundle::train_with_cnn(&h, 7).unwrap();
+        restore_env("EMOLEAK_EPOCHS", prior.0);
+        restore_env("EMOLEAK_CNN_DIV", prior.1);
+        bundle
+    }
+
+    /// Every detected region of the small campaign that carries a
+    /// spectrogram, i.e. every region the CNN rung classifies.
+    fn cnn_regions() -> Vec<RegionFeatures> {
+        let campaign = small_scenario().record_windows().unwrap();
+        let detector = RegionDetector::table_top();
+        let spec_gen = SpectrogramGenerator::for_accel();
+        campaign
+            .windows
+            .iter()
+            .flat_map(|(window, _, label)| {
+                extract_window(window, campaign.fs, &detector, Some(&spec_gen), *label).rows
+            })
+            .filter(|r| r.spectrogram.is_some())
+            .collect()
     }
 
     #[test]
@@ -665,32 +697,48 @@ mod tests {
 
     #[test]
     fn cnn_bundle_trains_and_predicts() {
-        // One cheap epoch on a tiny campaign: the point is the plumbing
-        // (spectrogram tensors in, a label out), not accuracy.
-        let h = small_scenario().harvest().unwrap();
-        let bundle = {
-            // Pin the CNN cost knobs for this test regardless of ambient
-            // env; the lock keeps sibling tests from observing them.
-            let _guard = crate::test_support::ENV_LOCK
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let prior = (std::env::var("EMOLEAK_EPOCHS"), std::env::var("EMOLEAK_CNN_DIV"));
-            std::env::set_var("EMOLEAK_EPOCHS", "1");
-            std::env::set_var("EMOLEAK_CNN_DIV", "8");
-            let b = ModelBundle::train_with_cnn(&h, 7).unwrap();
-            restore_env("EMOLEAK_EPOCHS", prior.0);
-            restore_env("EMOLEAK_CNN_DIV", prior.1);
-            b
-        };
+        let bundle = small_cnn_bundle();
         assert!(bundle.has_cnn());
-        let campaign = small_scenario().record_windows().unwrap();
-        let detector = RegionDetector::table_top();
-        let spec_gen = SpectrogramGenerator::for_accel();
-        let (window, _, label) = &campaign.windows[0];
-        let ex = extract_window(window, campaign.fs, &detector, Some(&spec_gen), *label);
-        let with_spec = ex.rows.iter().find(|r| r.spectrogram.is_some()).unwrap();
-        let v = bundle.classify(InferenceLevel::Cnn, with_spec);
+        let regions = cnn_regions();
+        let v = bundle.classify(InferenceLevel::Cnn, &regions[0]);
         assert_eq!(v.level, InferenceLevel::Cnn);
         assert!(v.label.unwrap() < bundle.class_names().len());
+    }
+
+    #[test]
+    fn concurrent_cnn_verdicts_match_serial_ones() {
+        // The bundle is shared across session threads as it is: no lock
+        // wraps it or its network.
+        fn assert_sync<T: Send + Sync>() {}
+        assert_sync::<ModelBundle>();
+        let bundle = Arc::new(small_cnn_bundle());
+        let regions = cnn_regions();
+        assert!(regions.len() >= 4, "the check needs several CNN regions");
+        let classify_all = |bundle: &ModelBundle| -> Vec<Verdict> {
+            regions.iter().map(|r| bundle.classify(InferenceLevel::Cnn, r)).collect()
+        };
+        let serial = classify_all(&bundle);
+        assert!(serial.iter().all(|v| v.level == InferenceLevel::Cnn));
+        for threads in [2, 4] {
+            // The barrier releases every thread at once, so their forward
+            // passes overlap on the one shared network.
+            let barrier = Barrier::new(threads);
+            let per_thread: Vec<Vec<Verdict>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let bundle = Arc::clone(&bundle);
+                        let (barrier, classify_all) = (&barrier, &classify_all);
+                        s.spawn(move || {
+                            barrier.wait();
+                            classify_all(&bundle)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("a classify thread panicked")).collect()
+            });
+            for verdicts in per_thread {
+                assert_eq!(verdicts, serial, "{threads} concurrent callers changed a verdict");
+            }
+        }
     }
 }

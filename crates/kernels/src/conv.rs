@@ -1,8 +1,16 @@
-//! Convolution kernels: scalar reference and im2col + blocked-GEMM fast
-//! path, with fused bias preload and optional fused ReLU.
+//! Convolution kernels: scalar reference and an implicit-im2col,
+//! register-tiled GEMM fast path, with fused bias preload and optional
+//! fused ReLU.
 //!
 //! Layout matches `emoleak_ml::nn`: stride 1, "same" zero padding, input
 //! `[C_in, H, W]` / `[C_in, L]`, weights `[out][in][kh][kw]` / `[out][in][k]`.
+//!
+//! The fast path never builds the `[C_in·kh·kw × H·W]` patch matrix: the
+//! GEMM asks for it one `NR`-column panel at a time, and
+//! [`im2col_2d_panel`] gathers just that panel from the input map, so the
+//! working set stays in L1 and a forward pass allocates nothing beyond its
+//! output. A 1-D convolution is the 2-D one on a `1 × L` map with a
+//! `1 × k` kernel, so [`conv1d_fast`] delegates to [`conv2d_fast`].
 //!
 //! # Bit-exactness and the padded-tap hazard
 //!
@@ -21,8 +29,14 @@
 //! [`conv1d_fast`] check the hazard preconditions and silently delegate to
 //! the reference path for hand-built pathological parameters. Bit-identity
 //! is therefore unconditional.
+//!
+//! The same argument makes every `w · 0.0` term skippable, which the fast
+//! path uses for input channels that are zero everywhere: a ReLU often
+//! silences whole channels (in the deployed spectrogram CNN, about 40 % of
+//! the second and third convolutions' input channels on real regions), and
+//! their rows of the patch matrix are left out of the GEMM.
 
-use crate::gemm::gemm_fast;
+use crate::gemm::{gemm_packed, NR};
 
 /// Activation fused into the convolution's output pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,7 +49,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, out: &mut [f64]) {
+    /// Applies the activation to every element of `out` in place.
+    pub fn apply(self, out: &mut [f64]) {
         if self == Activation::Relu {
             for v in out {
                 *v = v.max(0.0);
@@ -54,13 +69,6 @@ fn fast_path_safe(weights: &[f64], bias: &[f64]) -> bool {
 // ---------------------------------------------------------------------------
 // Conv2d
 // ---------------------------------------------------------------------------
-
-/// Reusable im2col buffer for [`conv2d_fast`]; hold one per layer so the
-/// steady-state forward pass performs no allocation.
-#[derive(Debug, Clone, Default)]
-pub struct Conv2dScratch {
-    cols: Vec<f64>,
-}
 
 /// Scalar reference 2-D convolution (+ bias, + optional fused activation),
 /// writing `[C_out, H, W]` into `out`.
@@ -115,8 +123,9 @@ pub fn conv2d_ref(
     act.apply(out);
 }
 
-/// im2col + cache-blocked GEMM 2-D convolution, bit-identical to
+/// Implicit-im2col + register-tiled GEMM 2-D convolution, bit-identical to
 /// [`conv2d_ref`] for all inputs (pathological parameters delegate to it).
+/// Allocates nothing beyond growing `out`.
 ///
 /// # Panics
 ///
@@ -133,7 +142,6 @@ pub fn conv2d_fast(
     weights: &[f64],
     bias: &[f64],
     act: Activation,
-    scratch: &mut Conv2dScratch,
     out: &mut Vec<f64>,
 ) {
     if !fast_path_safe(weights, bias) {
@@ -142,27 +150,47 @@ pub fn conv2d_fast(
     assert_eq!(input.len(), in_ch * h * w, "conv2d: input must be C*H*W");
     assert_eq!(weights.len(), out_ch * in_ch * kh * kw, "conv2d: bad weight count");
     assert_eq!(bias.len(), out_ch, "conv2d: bad bias count");
-    let k_dim = in_ch * kh * kw;
     let n = h * w;
-    im2col_2d(input, in_ch, h, w, kh, kw, &mut scratch.cols);
-    let cols = &scratch.cols;
-
+    // An input channel that is zero everywhere (ReLU silences whole
+    // channels) contributes only `w · 0.0` terms, exact no-ops under the
+    // same conditions as the padded taps: its rows of the patch matrix are
+    // skipped. Past `MAX_RUNS` runs of live channels the rest is kept.
+    let taps = kh * kw;
+    let mut live = [(0, 0); MAX_RUNS];
+    let mut runs = 0;
+    for (c, channel) in input.chunks_exact(n.max(1)).enumerate() {
+        if channel.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        match live[..runs].last_mut() {
+            Some((kk, len)) if *kk + *len == c * taps => *len += taps,
+            Some((kk, len)) if runs == MAX_RUNS => *len = (c + 1) * taps - *kk,
+            _ => {
+                live[runs] = (c * taps, taps);
+                runs += 1;
+            }
+        }
+    }
     // out = bias ⊕ W · cols, accumulated in the same ascending-k order as
     // the reference's register accumulation.
     out.clear();
     out.resize(out_ch * n, 0.0);
-    for (o, orow) in out.chunks_exact_mut(n).enumerate() {
-        orow.fill(bias[o]);
-    }
-    gemm_fast(out_ch, k_dim, n, weights, cols, out);
-    act.apply(out);
+    let k = in_ch * taps;
+    gemm_packed(out_ch, k, n, weights, out, Some(bias), act, &live[..runs], |kk0, j0, panel| {
+        im2col_2d_panel(input, h, w, kh, kw, kk0, j0, panel);
+    });
 }
+
+/// Most runs of live (not all-zero) input channels [`conv2d_fast`] skips
+/// around; a stack array, so the forward pass stays allocation-free.
+const MAX_RUNS: usize = 64;
 
 /// Lowers a `[C_in, H, W]` map to the `[C_in·kh·kw × H·W]` im2col patch
 /// matrix for a stride-1 "same"-padded convolution: row `(c, ky, kx)` —
 /// matching the `[out][in][kh][kw]` weight layout — column `(y, x)`,
-/// out-of-bounds taps as `0.0`. Shared by the f64 fast path and the int8
-/// quantized path.
+/// out-of-bounds taps as `0.0`. The int8 quantized path multiplies it
+/// whole; the f64 fast path gathers it panel by panel through
+/// [`im2col_2d_panel`] instead.
 pub fn im2col_2d(
     input: &[f64],
     in_ch: usize,
@@ -201,15 +229,67 @@ pub fn im2col_2d(
     }
 }
 
+/// Gathers rows `kk0..kk0 + panel.len() / NR` of columns `j0..j0 + NR` of
+/// the [`im2col_2d`] patch matrix into `panel` (row-major, `NR` wide),
+/// with `0.0` for padded taps and for columns past `h·w`.
+#[allow(clippy::too_many_arguments)]
+fn im2col_2d_panel(
+    input: &[f64],
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    kk0: usize,
+    j0: usize,
+    panel: &mut [f64],
+) {
+    let (ph, pw) = (kh / 2, kw / 2);
+    let jend = (j0 + NR).min(h * w);
+    // The panel's columns split into runs sharing one output row `y`:
+    // (y, first x, first panel column, length).
+    let mut runs = [(0, 0, 0, 0); NR];
+    let mut nruns = 0;
+    let mut j = j0;
+    while j < jend {
+        let (y, x) = (j / w, j % w);
+        let len = (w - x).min(jend - j);
+        runs[nruns] = (y, x, j - j0, len);
+        nruns += 1;
+        j += len;
+    }
+    let (mut c, mut ky, mut kx) = (kk0 / (kh * kw), kk0 / kw % kh, kk0 % kw);
+    for dst in panel.chunks_exact_mut(NR) {
+        dst[jend - j0..].fill(0.0);
+        for &(y, x, jj, len) in &runs[..nruns] {
+            let d = &mut dst[jj..jj + len];
+            let iy = (y + ky).wrapping_sub(ph);
+            // Output columns lo..hi read input columns inside 0..w.
+            let lo = pw.saturating_sub(kx).max(x);
+            let hi = (w + pw).saturating_sub(kx).min(x + len);
+            if iy >= h || lo >= hi {
+                d.fill(0.0);
+                continue;
+            }
+            let src = &input[(c * h + iy) * w..][..w];
+            d[..lo - x].fill(0.0);
+            d[lo - x..hi - x].copy_from_slice(&src[lo + kx - pw..hi + kx - pw]);
+            d[hi - x..].fill(0.0);
+        }
+        kx += 1;
+        if kx == kw {
+            kx = 0;
+            ky += 1;
+            if ky == kh {
+                ky = 0;
+                c += 1;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Conv1d
 // ---------------------------------------------------------------------------
-
-/// Reusable im2col buffer for [`conv1d_fast`].
-#[derive(Debug, Clone, Default)]
-pub struct Conv1dScratch {
-    cols: Vec<f64>,
-}
 
 /// Scalar reference 1-D convolution (+ bias, + optional fused activation),
 /// writing `[C_out, L]` into `out`.
@@ -253,8 +333,9 @@ pub fn conv1d_ref(
     act.apply(out);
 }
 
-/// im2col + cache-blocked GEMM 1-D convolution, bit-identical to
-/// [`conv1d_ref`] for all inputs (pathological parameters delegate to it).
+/// The fast 1-D convolution: [`conv2d_fast`] on a `1 × L` map with a
+/// `1 × k` kernel, which performs exactly [`conv1d_ref`]'s operations, so
+/// the two are bit-identical for all inputs.
 ///
 /// # Panics
 ///
@@ -269,48 +350,12 @@ pub fn conv1d_fast(
     weights: &[f64],
     bias: &[f64],
     act: Activation,
-    scratch: &mut Conv1dScratch,
     out: &mut Vec<f64>,
 ) {
-    if !fast_path_safe(weights, bias) {
-        return conv1d_ref(input, in_ch, l, out_ch, k, weights, bias, act, out);
-    }
     assert_eq!(input.len(), in_ch * l, "conv1d: input must be C*L");
     assert_eq!(weights.len(), out_ch * in_ch * k, "conv1d: bad weight count");
     assert_eq!(bias.len(), out_ch, "conv1d: bad bias count");
-    let k_dim = in_ch * k;
-    im2col_1d(input, in_ch, l, k, &mut scratch.cols);
-    let cols = &scratch.cols;
-
-    out.clear();
-    out.resize(out_ch * l, 0.0);
-    for (o, orow) in out.chunks_exact_mut(l).enumerate() {
-        orow.fill(bias[o]);
-    }
-    gemm_fast(out_ch, k_dim, l, weights, cols, out);
-    act.apply(out);
-}
-
-/// Lowers a `[C_in, L]` map to the `[C_in·k × L]` im2col patch matrix for
-/// a stride-1 "same"-padded convolution (see [`im2col_2d`]).
-pub fn im2col_1d(input: &[f64], in_ch: usize, l: usize, k: usize, cols: &mut Vec<f64>) {
-    assert_eq!(input.len(), in_ch * l, "im2col1d: input must be C*L");
-    let p = k / 2;
-    cols.clear();
-    cols.resize(in_ch * k * l, 0.0);
-    for c in 0..in_ch {
-        for kk in 0..k {
-            let row = c * k + kk;
-            let dst = &mut cols[row * l..(row + 1) * l];
-            let src = &input[c * l..(c + 1) * l];
-            // valid t satisfy 0 <= t + kk - p < l
-            let t0 = p.saturating_sub(kk);
-            let t1 = ((l + p).saturating_sub(kk)).min(l);
-            if t0 < t1 {
-                dst[t0..t1].copy_from_slice(&src[t0 + kk - p..t1 + kk - p]);
-            }
-        }
-    }
+    conv2d_fast(input, in_ch, 1, l, out_ch, 1, k, weights, bias, act, out);
 }
 
 #[cfg(test)]
@@ -338,12 +383,10 @@ mod tests {
             let weights = vals(&mut rng, out_ch * in_ch * kh * kw);
             let bias = vals(&mut rng, out_ch);
             let (mut r, mut f) = (Vec::new(), Vec::new());
-            let mut scratch = Conv2dScratch::default();
             for act in [Activation::Identity, Activation::Relu] {
                 conv2d_ref(&input, in_ch, h, w, out_ch, kh, kw, &weights, &bias, act, &mut r);
                 conv2d_fast(
-                    &input, in_ch, h, w, out_ch, kh, kw, &weights, &bias, act, &mut scratch,
-                    &mut f,
+                    &input, in_ch, h, w, out_ch, kh, kw, &weights, &bias, act, &mut f,
                 );
                 assert_eq!(bits(&r), bits(&f), "shape ({in_ch},{h},{w},{out_ch},{kh},{kw})");
             }
@@ -358,7 +401,6 @@ mod tests {
             let weights = vals(&mut rng, out_ch * in_ch * k);
             let bias = vals(&mut rng, out_ch);
             let (mut r, mut f) = (Vec::new(), Vec::new());
-            let mut scratch = Conv1dScratch::default();
             conv1d_ref(&input, in_ch, l, out_ch, k, &weights, &bias, Activation::Identity, &mut r);
             conv1d_fast(
                 &input,
@@ -369,7 +411,6 @@ mod tests {
                 &weights,
                 &bias,
                 Activation::Identity,
-                &mut scratch,
                 &mut f,
             );
             assert_eq!(bits(&r), bits(&f), "shape ({in_ch},{l},{out_ch},{k})");
@@ -381,7 +422,6 @@ mod tests {
         // A -0.0 bias and a NaN weight are exactly the cases where im2col's
         // padded zeros would not be no-ops; the fast path must delegate.
         let input = [1.0, -2.0, 3.0, 0.5];
-        let mut scratch = Conv2dScratch::default();
         let (mut r, mut f) = (Vec::new(), Vec::new());
         for (weights, bias) in [
             (vec![0.5, -0.25, 1.0, 2.0, -1.0, 0.0, 0.75, -0.5, 0.125], vec![-0.0]),
@@ -399,10 +439,67 @@ mod tests {
                 &weights,
                 &bias,
                 Activation::Identity,
-                &mut scratch,
                 &mut f,
             );
             assert_eq!(bits(&r), bits(&f));
+        }
+    }
+
+    #[test]
+    fn dead_channels_are_skipped_exactly() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // Alternating live and all-zero channels (some -0.0), with more
+        // live runs than MAX_RUNS so the overflow merge runs too.
+        let (in_ch, h, w, out_ch) = (2 * MAX_RUNS + 3, 3, 4, 3);
+        let mut input = vals(&mut rng, in_ch * h * w);
+        for (c, channel) in input.chunks_exact_mut(h * w).enumerate() {
+            match c % 4 {
+                1 => channel.fill(0.0),
+                3 => channel.fill(-0.0),
+                _ => {}
+            }
+        }
+        for (kh, kw) in [(3, 3), (1, 1), (1, 2)] {
+            let weights = vals(&mut rng, out_ch * in_ch * kh * kw);
+            let bias = vals(&mut rng, out_ch);
+            let (mut r, mut f) = (Vec::new(), Vec::new());
+            for act in [Activation::Identity, Activation::Relu] {
+                conv2d_ref(&input, in_ch, h, w, out_ch, kh, kw, &weights, &bias, act, &mut r);
+                conv2d_fast(&input, in_ch, h, w, out_ch, kh, kw, &weights, &bias, act, &mut f);
+                assert_eq!(bits(&r), bits(&f), "kernel {kh}x{kw}");
+            }
+        }
+        // Every channel dead: the output is the activated bias.
+        let zeros = vec![0.0; 2 * 4];
+        let (mut r, mut f) = (Vec::new(), Vec::new());
+        let (weights, bias) = (vals(&mut rng, 2 * 9), [0.5, -0.25]);
+        conv2d_ref(&zeros, 1, 2, 4, 2, 3, 3, &weights, &bias, Activation::Relu, &mut r);
+        conv2d_fast(&zeros, 1, 2, 4, 2, 3, 3, &weights, &bias, Activation::Relu, &mut f);
+        assert_eq!(bits(&r), bits(&f));
+    }
+
+    #[test]
+    fn panels_match_the_materialized_patch_matrix() {
+        let mut rng = StdRng::seed_from_u64(19);
+        // Maps narrower and wider than a panel, odd kernels, a row tail.
+        for (in_ch, h, w, kh, kw) in [(2, 3, 5, 3, 3), (1, 4, 16, 3, 2), (3, 2, 3, 1, 4)] {
+            let input = vals(&mut rng, in_ch * h * w);
+            let mut cols = Vec::new();
+            im2col_2d(&input, in_ch, h, w, kh, kw, &mut cols);
+            let (k, n) = (in_ch * kh * kw, h * w);
+            for kk0 in 0..k {
+                for j0 in (0..n).step_by(NR) {
+                    let mut panel = vec![f64::NAN; (k - kk0) * NR];
+                    im2col_2d_panel(&input, h, w, kh, kw, kk0, j0, &mut panel);
+                    for (r, row) in panel.chunks_exact(NR).enumerate() {
+                        for (jj, &v) in row.iter().enumerate() {
+                            let (kk, j) = (kk0 + r, j0 + jj);
+                            let want = if j < n { cols[kk * n + j] } else { 0.0 };
+                            assert_eq!(v.to_bits(), want.to_bits(), "kk={kk} j={j}");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -419,10 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_differing_shapes_is_clean() {
+    fn output_reuse_across_differing_shapes_is_clean() {
         let mut rng = StdRng::seed_from_u64(17);
-        let mut scratch = Conv2dScratch::default();
-        // Big shape first, then small: stale tail bytes must not leak in.
+        // Big shape first, then small: stale tail values must not leak in.
         for (h, w) in [(8, 8), (2, 3)] {
             let input = vals(&mut rng, h * w);
             let weights = vals(&mut rng, 9);
@@ -440,7 +536,6 @@ mod tests {
                 &weights,
                 &bias,
                 Activation::Identity,
-                &mut scratch,
                 &mut f,
             );
             assert_eq!(bits(&r), bits(&f), "{h}x{w}");

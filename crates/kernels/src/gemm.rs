@@ -1,4 +1,4 @@
-//! f64 matrix multiply: scalar reference and a cache-blocked fast path.
+//! f64 matrix multiply: scalar reference and a register-tiled fast path.
 //!
 //! Both kernels compute `C += A · B` for row-major `A` (`m × k`),
 //! `B` (`k × n`) and `C` (`m × n`). Accumulating *onto* `C` (instead of
@@ -10,15 +10,37 @@
 //! chain of IEEE-754 operations: starting from the preloaded value, add
 //! `A[i][kk] * B[kk][j]` for `kk = 0, 1, …, k-1`, rounding after every
 //! multiply and every add. The fast kernel only changes *which element's*
-//! next addition runs when (blocking over `kk` and vectorizing over `j`),
-//! never the per-element order — so the two are bit-identical for **all**
-//! inputs, including non-finite values and signed zeros. The differential
-//! proptest harness (`tests/proptest_kernels.rs`) holds that line.
+//! next addition runs when (tiling over `i`, `j` and `kk`, vectorizing over
+//! `j`), never the per-element order — so the two are bit-identical for
+//! **all** inputs, including non-finite values and signed zeros. The
+//! differential proptest harness (`tests/proptest_kernels.rs`) holds that
+//! line.
+//!
+//! # The fast kernel
+//!
+//! `B` is packed `NR` columns at a time into a panel of at most `KC`
+//! rows (16 KiB, on the stack), which stays in L1 while every `MR`-row
+//! tile of `A` streams over it. Each tile keeps its `MR × NR` block of `C`
+//! in registers for the panel's whole `kk` run, so `C` is loaded and stored
+//! once per panel instead of once per `kk`. Callers that can produce `B`'s
+//! columns without materializing `B` — the convolutions' implicit im2col —
+//! supply their own packer through [`gemm_packed`], and may leave out rows
+//! of `B` whose terms they know to be exact no-ops.
 
-/// k-dimension block size for the fast kernel: one `KC × n` panel of `B`
-/// (at n ≈ 1024: 512 KiB worst case, typically ≤ 32 KiB for the CNN's
-/// 32×32 maps) stays hot in cache while every row of `A` streams over it.
-const KC: usize = 64;
+use crate::conv::Activation;
+
+/// Rows of `A` (and `C`) per register tile. With the baseline x86-64
+/// target (SSE2, sixteen 2-lane registers) a 2 × 8 block of `C` takes
+/// eight registers and leaves room for the `B` row and the `A` broadcasts;
+/// a 4 × 8 block spills and measured slower.
+pub(crate) const MR: usize = 2;
+
+/// Columns of `B` (and `C`) per packed panel and register tile.
+pub(crate) const NR: usize = 8;
+
+/// Rows of `B` per packed panel: `KC × NR` f64 is 16 KiB, half a typical
+/// L1 data cache, so the panel and two `A` rows stay resident.
+pub(crate) const KC: usize = 256;
 
 fn check_dims(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &[f64]) {
     assert_eq!(a.len(), m * k, "gemm: A must be m*k");
@@ -45,30 +67,130 @@ pub fn gemm_ref(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
     }
 }
 
-/// Cache-blocked fast path: identical per-element operation order to
-/// [`gemm_ref`], reorganized as `kk`-blocked row-panel updates whose inner
-/// `j` loop the compiler can vectorize.
+/// Register-tiled fast path: identical per-element operation order to
+/// [`gemm_ref`], with `B` packed into L1-sized panels and `C` held in
+/// registers across each panel (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match `m`/`k`/`n`.
 pub fn gemm_fast(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     check_dims(m, k, n, a, b, c);
-    let mut kk0 = 0;
-    while kk0 < k {
-        let kend = (kk0 + KC).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for kk in kk0..kend {
-                let aik = arow[kk];
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aik * bv;
+    gemm_packed(m, k, n, a, c, None, Activation::Identity, &[(0, k)], |kk0, j0, panel| {
+        let nr = NR.min(n - j0);
+        for (r, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            dst[..nr].copy_from_slice(&b[(kk0 + r) * n + j0..][..nr]);
+            dst[nr..].fill(0.0);
+        }
+    });
+}
+
+/// `C += A · B` over the `kk` listed in `live`, with `B` supplied one panel
+/// at a time, then `act` applied to every element of `C`. With `bias`,
+/// `C`'s prior contents are ignored and row `i` starts from `bias[i]`
+/// instead: `C = bias ⊕ A · B`.
+///
+/// `live` holds ascending, disjoint `(first kk, count)` runs; every other
+/// `kk` is skipped, so the caller must know its terms are exact no-ops.
+/// `pack(kk0, j0, panel)` must fill `panel[r * NR + jj]` with
+/// `B[kk0 + r][j0 + jj]` for every row `r < panel.len() / NR`, and with
+/// `0.0` where `j0 + jj >= n`.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `m`/`k`/`n` or a run of
+/// `live` reaches past `k`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    c: &mut [f64],
+    bias: Option<&[f64]>,
+    act: Activation,
+    live: &[(usize, usize)],
+    mut pack: impl FnMut(usize, usize, &mut [f64]),
+) {
+    assert_eq!(a.len(), m * k, "gemm: A must be m*k");
+    assert_eq!(c.len(), m * n, "gemm: C must be m*n");
+    assert!(bias.is_none_or(|b| b.len() == m), "gemm: bias must be m");
+    assert!(live.iter().all(|&(kk, len)| kk + len <= k), "gemm: live runs must lie in k");
+    let mut panel_buf = [0.0; KC * NR];
+    // The live runs packed into the current panel, as (kk, rows).
+    let mut block = [(0, 0); KC];
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        // Next live run, and how many of its rows earlier panels took.
+        let (mut run, mut done) = (0, 0);
+        let mut first = true;
+        loop {
+            let (mut rows, mut runs) = (0, 0);
+            while rows < KC && run < live.len() {
+                let (kk, len) = live[run];
+                let take = (len - done).min(KC - rows);
+                pack(kk + done, j0, &mut panel_buf[rows * NR..(rows + take) * NR]);
+                block[runs] = (kk + done, take);
+                (rows, runs, done) = (rows + take, runs + 1, done + take);
+                if done == len {
+                    (run, done) = (run + 1, 0);
                 }
             }
+            let last = run == live.len();
+            let panel = &panel_buf[..rows * NR];
+            for i0 in (0..m).step_by(MR) {
+                let mr = MR.min(m - i0);
+                // Tile rows past `m` re-read the last real row; their sums
+                // are computed and discarded.
+                let a_rows = std::array::from_fn(|ii| &a[(i0 + ii.min(mr - 1)) * k..][..k]);
+                let mut acc = [[0.0; NR]; MR];
+                for (ii, row) in acc.iter_mut().enumerate().take(mr) {
+                    let src = &c[(i0 + ii) * n + j0..][..nr];
+                    match (bias, <&[f64; NR]>::try_from(src)) {
+                        (Some(bias), _) if first => *row = [bias[i0 + ii]; NR],
+                        (_, Ok(full)) => *row = *full,
+                        (_, Err(_)) => row[..nr].copy_from_slice(src),
+                    }
+                }
+                tile(a_rows, &block[..runs], panel, &mut acc);
+                for (ii, row) in acc.iter_mut().enumerate().take(mr) {
+                    if last {
+                        act.apply(row);
+                    }
+                    let dst = &mut c[(i0 + ii) * n + j0..][..nr];
+                    match <&mut [f64; NR]>::try_from(&mut *dst) {
+                        Ok(full) => *full = *row,
+                        Err(_) => dst.copy_from_slice(&row[..nr]),
+                    }
+                }
+            }
+            if last {
+                break;
+            }
+            first = false;
         }
-        kk0 = kend;
+    }
+}
+
+/// The register tile: `acc[i][j] += a_rows[i][kk] * panel[r][j]` for the
+/// `kk` of each run in turn, ascending, where panel row `r` holds `B`'s
+/// row `kk`. Kept out of line: inlined into `gemm_packed`'s loops, the
+/// accumulators get a lane layout that costs a shuffle per `kk`.
+#[inline(never)]
+fn tile(a_rows: [&[f64]; MR], runs: &[(usize, usize)], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
+    let [a0, a1] = a_rows;
+    let mut r = 0;
+    for &(kk, len) in runs {
+        let b_rows = panel[r * NR..(r + len) * NR].chunks_exact(NR);
+        for ((&x0, &x1), b) in a0[kk..kk + len].iter().zip(&a1[kk..kk + len]).zip(b_rows) {
+            for j in 0..NR {
+                acc[0][j] += x0 * b[j];
+            }
+            for j in 0..NR {
+                acc[1][j] += x1 * b[j];
+            }
+        }
+        r += len;
     }
 }
 
@@ -98,8 +220,10 @@ mod tests {
     #[test]
     fn fast_is_bit_identical_across_blocking_boundaries() {
         let mut rng = StdRng::seed_from_u64(7);
-        // k values straddling the KC block edge exercise the panel loop.
-        for (m, k, n) in [(1, 1, 1), (3, 63, 5), (4, 64, 4), (2, 65, 7), (5, 130, 3)] {
+        // Shapes straddling the MR/NR tile edges and the KC panel edge.
+        for (m, k, n) in
+            [(1, 1, 1), (3, 63, 5), (4, 64, 4), (2, 65, 7), (5, 130, 3), (3, 257, 17), (7, 1, 9)]
+        {
             let a = mat(&mut rng, m * k);
             let b = mat(&mut rng, k * n);
             let init = mat(&mut rng, m * n);

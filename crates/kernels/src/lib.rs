@@ -8,10 +8,11 @@
 //! forward. This crate owns the compute-dense pieces of that loop:
 //!
 //! - [`gemm`] — f64 matrix multiply, as a per-element scalar reference and
-//!   a cache-blocked fast path that is **bit-identical** to the reference
+//!   a register-tiled fast path that is **bit-identical** to the reference
 //!   (same additions, same order, same rounding);
-//! - [`conv`] — im2col lowering plus fused conv+bias(+ReLU) kernels for
-//!   the CNN's Conv1d/Conv2d forward passes;
+//! - [`conv`] — implicit-im2col fused conv+bias(+ReLU) kernels for the
+//!   CNN's Conv1d/Conv2d forward passes, plus the materialized im2col the
+//!   int8 path multiplies;
 //! - [`int8`] — symmetric int8 quantization and an i32-accumulating int8
 //!   GEMM backing the `cnn-int8` degradation rung.
 //!
@@ -37,7 +38,7 @@ pub mod conv;
 pub mod gemm;
 pub mod int8;
 
-pub use conv::{Activation, Conv1dScratch, Conv2dScratch};
+pub use conv::Activation;
 
 use emoleak_exec::EnvError;
 use std::str::FromStr;
@@ -55,7 +56,8 @@ pub const ENV_KERNELS: &str = "EMOLEAK_KERNELS";
 pub enum KernelMode {
     /// The straightforward scalar implementations the kernels replaced.
     Reference,
-    /// im2col + cache-blocked GEMM, scratch-buffer STFT, fused features.
+    /// Implicit-im2col register-tiled GEMM, in-place STFT, fused
+    /// features.
     #[default]
     Fast,
 }
@@ -105,9 +107,10 @@ impl KernelMode {
     /// [`KernelMode::Fast`] if it is malformed.
     ///
     /// This is the accessor the hot paths use: it is called once per
-    /// *top-level operation* (one spectrogram, one feature vector, one conv
-    /// forward), never per element, and deliberately re-reads the
-    /// environment each time so the differential parity tests can flip
+    /// *top-level operation* (one spectrogram, one feature vector, one
+    /// network forward or inference pass, which hands the mode to every
+    /// layer), never per element or per layer, and deliberately re-reads
+    /// the environment each time so the differential parity tests can flip
     /// modes within one process.
     #[must_use]
     pub fn current() -> KernelMode {

@@ -100,15 +100,15 @@ pub fn feature_cnn_scaled(
 /// A [`Classifier`] adapter running the feature CNN on flat feature vectors,
 /// so the evaluation harness can sweep it next to the Weka-style models.
 ///
-/// The network sits behind a mutex because forward passes update layer
-/// caches (`&mut self`) while [`Classifier::predict`] takes `&self`.
+/// [`Classifier::predict`] takes `&self` and so does the network's
+/// inference pass, so the fitted network is held without a lock.
 pub struct CnnClassifier {
     /// Training configuration.
     pub config: TrainConfig,
     /// Channel-width divisor (1 = paper-exact).
     pub width_divisor: usize,
     seed: u64,
-    net: Option<parking_lot::Mutex<Sequential>>,
+    net: Option<Sequential>,
     history: Option<super::TrainingHistory>,
 }
 
@@ -158,12 +158,12 @@ impl Classifier for CnnClassifier {
         let (vy, ty) = y.split_at(n_val);
         let history = net.fit(tx, ty, vx, vy, &self.config);
         self.history = Some(history);
-        self.net = Some(parking_lot::Mutex::new(net));
+        self.net = Some(net);
     }
 
     fn predict(&self, x: &[f64]) -> usize {
         let net = self.net.as_ref().expect("CNN is not fitted");
-        net.lock().predict(&Self::to_tensor(x))
+        net.predict(&Self::to_tensor(x))
     }
 
     fn name(&self) -> &str {

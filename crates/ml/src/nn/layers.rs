@@ -11,7 +11,7 @@
 
 use super::quant::LayerSpec;
 use super::tensor::Tensor;
-use emoleak_kernels::{conv, Activation, Conv1dScratch, Conv2dScratch, KernelMode};
+use emoleak_kernels::{conv, Activation, KernelMode};
 use rand::{Rng, SeedableRng};
 
 /// A typed input-shape mismatch reported by [`Layer::try_forward`].
@@ -44,18 +44,48 @@ impl std::error::Error for ShapeError {}
 /// A differentiable layer.
 ///
 /// `Send` is a supertrait so networks can move across `emoleak_exec`
-/// workers (parallel k-fold trains one CNN per fold on its own thread).
-pub trait Layer: Send {
-    /// Forward pass. `training` toggles dropout/batch-norm behaviour.
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor;
+/// workers (parallel k-fold trains one CNN per fold on its own thread);
+/// `Sync` lets concurrent callers share one trained network, since
+/// [`Layer::infer`] reads no mutable state.
+pub trait Layer: Send + Sync {
+    /// Forward pass on `mode`'s kernels, caching what [`Layer::backward`]
+    /// needs. `training` toggles dropout/batch-norm behaviour.
+    /// Convolutions dispatch on `mode`; every other layer has a single
+    /// implementation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when the layer rejects `input`'s shape.
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        training: bool,
+        mode: KernelMode,
+    ) -> Result<Tensor, ShapeError>;
 
-    /// Shape-checked forward pass. Layers that validate their input
-    /// override this to report a typed [`ShapeError`] (and implement
-    /// [`Layer::forward`] on top of it); the default delegates to
-    /// `forward` for layers with no checked failure mode.
-    fn try_forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, ShapeError> {
-        Ok(self.forward(input, training))
+    /// [`Layer::try_forward`] on the kernels `EMOLEAK_KERNELS` selects.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the layer rejects `input`'s shape.
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        self.try_forward(input, training, KernelMode::current()).unwrap_or_else(|e| panic!("{e}"))
     }
+
+    /// Inference pass: writes `try_forward(input, false, mode)`'s output,
+    /// with `act` applied, into `out`, reusing `out`'s allocations. Takes
+    /// `&self` and caches nothing for a backward pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when the layer rejects `input`'s shape.
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError>;
 
     /// Backward pass: consumes `dL/d(output)`, accumulates parameter
     /// gradients, returns `dL/d(input)`.
@@ -67,14 +97,45 @@ pub trait Layer: Send {
     /// Visits `(parameters, gradients)` pairs for the optimizer.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f64], &mut [f64])) {}
 
-    /// Describes this layer for int8 lowering ([`super::quant`]); `None`
-    /// marks a layer the quantized inference path cannot represent.
+    /// Describes this layer for inference: int8 lowering
+    /// ([`super::quant`]) reads it, and so does [`super::Sequential`]'s
+    /// inference plan, which skips `Identity` layers and fuses `Relu` into
+    /// the step before it. `None` marks a layer the quantized inference
+    /// path cannot represent.
     fn quant_spec(&self) -> Option<LayerSpec> {
         None
     }
 
     /// Layer display name.
     fn name(&self) -> &'static str;
+}
+
+/// A [`ShapeError`] from `layer` unless `ok`.
+fn check(
+    ok: bool,
+    layer: &'static str,
+    expected: impl FnOnce() -> String,
+    input: &Tensor,
+) -> Result<(), ShapeError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ShapeError { layer, expected: expected(), got: input.shape.clone() })
+    }
+}
+
+/// Sets `out`'s shape, reusing its allocation.
+fn set_shape(out: &mut Tensor, shape: &[usize]) {
+    out.shape.clear();
+    out.shape.extend_from_slice(shape);
+}
+
+/// Writes `act(f(v))` for every `v` of `input` into `out`, shape kept.
+fn map_into(input: &Tensor, act: Activation, out: &mut Tensor, f: impl Fn(f64) -> f64) {
+    set_shape(out, &input.shape);
+    out.data.clear();
+    out.data.extend(input.data.iter().map(|&v| f(v)));
+    act.apply(&mut out.data);
 }
 
 fn he_init(rng: &mut rand::rngs::StdRng, fan_in: usize, n: usize) -> Vec<f64> {
@@ -122,15 +183,34 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        assert_eq!(input.len(), self.in_dim, "dense input dimension mismatch");
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        let mut out = Tensor::default();
+        self.infer(input, Activation::Identity, mode, &mut out)?;
         self.cached_input = input.data.clone();
-        let mut out = self.b.clone();
-        for (o, out_v) in out.iter_mut().enumerate() {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            *out_v += crate::linalg::dot(row, &input.data);
-        }
-        Tensor::from_vec(out)
+        Ok(out)
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        let in_dim = self.in_dim;
+        check(input.len() == in_dim, "Dense", || format!("{in_dim} elements"), input)?;
+        out.data.clear();
+        out.data.extend((0..self.out_dim).map(|o| {
+            self.b[o] + crate::linalg::dot(&self.w[o * in_dim..(o + 1) * in_dim], &input.data)
+        }));
+        act.apply(&mut out.data);
+        set_shape(out, &[self.out_dim]);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -191,12 +271,27 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
         self.mask = input.data.iter().map(|&v| v > 0.0).collect();
-        Tensor {
-            shape: input.shape.clone(),
-            data: input.data.iter().map(|&v| v.max(0.0)).collect(),
-        }
+        let mut out = Tensor::default();
+        self.infer(input, Activation::Identity, mode, &mut out)?;
+        Ok(out)
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        map_into(input, act, out, |v| v.max(0.0));
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -245,19 +340,35 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        training: bool,
+        _mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
         if !training || self.rate == 0.0 {
             self.mask = vec![1.0; input.len()];
-            return input.clone();
+            return Ok(input.clone());
         }
         let keep = 1.0 - self.rate;
         self.mask = (0..input.len())
             .map(|_| if self.rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 })
             .collect();
-        Tensor {
+        Ok(Tensor {
             shape: input.shape.clone(),
             data: input.data.iter().zip(&self.mask).map(|(v, m)| v * m).collect(),
-        }
+        })
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        map_into(input, act, out, |v| v);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -295,9 +406,26 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        _mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
         self.cached_shape = input.shape.clone();
-        Tensor::from_vec(input.data.clone())
+        Ok(Tensor::from_vec(input.data.clone()))
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        map_into(input, act, out, |v| v);
+        set_shape(out, &[input.len()]);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -321,9 +449,9 @@ impl Layer for Flatten {
 /// output `[C_out, H, W]`.
 ///
 /// The forward pass dispatches on [`KernelMode`]: `reference` runs the
-/// scalar loops, `fast` the im2col + cache-blocked GEMM kernel. Both are
-/// bit-identical (see `emoleak_kernels::conv`); the backward pass is
-/// mode-independent.
+/// scalar loops, `fast` the implicit-im2col register-tiled GEMM kernel.
+/// Both are bit-identical (see `emoleak_kernels::conv`); the backward pass
+/// is mode-independent.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_ch: usize,
@@ -335,7 +463,6 @@ pub struct Conv2d {
     gw: Vec<f64>,
     gb: Vec<f64>,
     cached_input: Tensor,
-    scratch: Conv2dScratch,
 }
 
 impl Conv2d {
@@ -358,7 +485,6 @@ impl Conv2d {
             gw: vec![0.0; n],
             gb: vec![0.0; out_ch],
             cached_input: Tensor::default(),
-            scratch: Conv2dScratch::default(),
         }
     }
 
@@ -369,51 +495,48 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        self.try_forward(input, training).unwrap_or_else(|e| panic!("{e}"))
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        let mut out = Tensor::default();
+        self.infer(input, Activation::Identity, mode, &mut out)?;
+        self.cached_input = input.clone();
+        Ok(out)
     }
 
-    fn try_forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, ShapeError> {
-        if input.shape.len() != 3 || input.shape[0] != self.in_ch {
-            return Err(ShapeError {
-                layer: "Conv2d",
-                expected: format!("[{}, H, W]", self.in_ch),
-                got: input.shape.clone(),
-            });
-        }
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        let in_ch = self.in_ch;
+        let ok = input.shape.len() == 3 && input.shape[0] == in_ch;
+        check(ok, "Conv2d", || format!("[{in_ch}, H, W]"), input)?;
         let (h, w) = (input.shape[1], input.shape[2]);
-        self.cached_input = input.clone();
-        let mut out = Tensor::zeros(&[self.out_ch, h, w]);
-        match KernelMode::current() {
-            KernelMode::Reference => conv::conv2d_ref(
-                &input.data,
-                self.in_ch,
-                h,
-                w,
-                self.out_ch,
-                self.kh,
-                self.kw,
-                &self.w,
-                &self.b,
-                Activation::Identity,
-                &mut out.data,
-            ),
-            KernelMode::Fast => conv::conv2d_fast(
-                &input.data,
-                self.in_ch,
-                h,
-                w,
-                self.out_ch,
-                self.kh,
-                self.kw,
-                &self.w,
-                &self.b,
-                Activation::Identity,
-                &mut self.scratch,
-                &mut out.data,
-            ),
-        }
-        Ok(out)
+        let conv = match mode {
+            KernelMode::Reference => conv::conv2d_ref,
+            KernelMode::Fast => conv::conv2d_fast,
+        };
+        conv(
+            &input.data,
+            self.in_ch,
+            h,
+            w,
+            self.out_ch,
+            self.kh,
+            self.kw,
+            &self.w,
+            &self.b,
+            act,
+            &mut out.data,
+        );
+        set_shape(out, &[self.out_ch, h, w]);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -497,7 +620,6 @@ pub struct Conv1d {
     gw: Vec<f64>,
     gb: Vec<f64>,
     cached_input: Tensor,
-    scratch: Conv1dScratch,
 }
 
 impl Conv1d {
@@ -519,53 +641,41 @@ impl Conv1d {
             gw: vec![0.0; n],
             gb: vec![0.0; out_ch],
             cached_input: Tensor::default(),
-            scratch: Conv1dScratch::default(),
         }
     }
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        self.try_forward(input, training).unwrap_or_else(|e| panic!("{e}"))
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        let mut out = Tensor::default();
+        self.infer(input, Activation::Identity, mode, &mut out)?;
+        self.cached_input = input.clone();
+        Ok(out)
     }
 
-    fn try_forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, ShapeError> {
-        if input.shape.len() != 2 || input.shape[0] != self.in_ch {
-            return Err(ShapeError {
-                layer: "Conv1d",
-                expected: format!("[{}, L]", self.in_ch),
-                got: input.shape.clone(),
-            });
-        }
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        let in_ch = self.in_ch;
+        let ok = input.shape.len() == 2 && input.shape[0] == in_ch;
+        check(ok, "Conv1d", || format!("[{in_ch}, L]"), input)?;
         let l = input.shape[1];
-        self.cached_input = input.clone();
-        let mut out = Tensor::zeros(&[self.out_ch, l]);
-        match KernelMode::current() {
-            KernelMode::Reference => conv::conv1d_ref(
-                &input.data,
-                self.in_ch,
-                l,
-                self.out_ch,
-                self.k,
-                &self.w,
-                &self.b,
-                Activation::Identity,
-                &mut out.data,
-            ),
-            KernelMode::Fast => conv::conv1d_fast(
-                &input.data,
-                self.in_ch,
-                l,
-                self.out_ch,
-                self.k,
-                &self.w,
-                &self.b,
-                Activation::Identity,
-                &mut self.scratch,
-                &mut out.data,
-            ),
-        }
-        Ok(out)
+        let conv = match mode {
+            KernelMode::Reference => conv::conv1d_ref,
+            KernelMode::Fast => conv::conv1d_fast,
+        };
+        conv(&input.data, self.in_ch, l, self.out_ch, self.k, &self.w, &self.b, act, &mut out.data);
+        set_shape(out, &[self.out_ch, l]);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -645,43 +755,90 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        assert_eq!(input.shape.len(), 3, "maxpool2d expects [C, H, W]");
-        let (c, h, w) = (input.shape[0], input.shape[1], input.shape[2]);
-        let (oh, ow) = ((h / self.pool).max(1), (w / self.pool).max(1));
-        self.in_shape = input.shape.clone();
-        self.argmax = vec![0; c * oh * ow];
-        let mut out = Tensor::zeros(&[c, oh, ow]);
-        for ch in 0..c {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_i = 0;
-                    for dy in 0..self.pool.min(h - y * self.pool.min(h)) {
-                        let iy = y * self.pool + dy;
-                        if iy >= h {
+/// Max-pools a `[C, H, W]` map (kernel = stride = `pool`) into `out`
+/// (`[C, OH, OW]` row-major), calling `record` with each output's winning
+/// input index, in output order, and returns `(OH, OW)`. A `[C, L]` map is
+/// the `h = 1` case: one row per window, the same windows as 1-D pooling.
+fn max_pool2d(
+    input: &[f64],
+    (c, h, w): (usize, usize, usize),
+    pool: usize,
+    out: &mut Vec<f64>,
+    mut record: impl FnMut(usize),
+) -> (usize, usize) {
+    let (oh, ow) = ((h / pool).max(1), (w / pool).max(1));
+    out.clear();
+    for ch in 0..c {
+        for y in 0..oh {
+            for x in 0..ow {
+                let mut best = f64::NEG_INFINITY;
+                let mut best_i = 0;
+                for dy in 0..pool.min(h - y * pool.min(h)) {
+                    let iy = y * pool + dy;
+                    if iy >= h {
+                        break;
+                    }
+                    for dx in 0..pool {
+                        let ix = x * pool + dx;
+                        if ix >= w {
                             break;
                         }
-                        for dx in 0..self.pool {
-                            let ix = x * self.pool + dx;
-                            if ix >= w {
-                                break;
-                            }
-                            let i = (ch * h + iy) * w + ix;
-                            if input.data[i] > best {
-                                best = input.data[i];
-                                best_i = i;
-                            }
+                        let i = (ch * h + iy) * w + ix;
+                        if input[i] > best {
+                            best = input[i];
+                            best_i = i;
                         }
                     }
-                    let oi = (ch * oh + y) * ow + x;
-                    out.data[oi] = best;
-                    self.argmax[oi] = best_i;
                 }
+                out.push(best);
+                record(best_i);
             }
         }
-        out
+    }
+    (oh, ow)
+}
+
+/// [`max_pool2d`] over a `[C, H, W]` tensor, shaping `out`.
+fn pool_chw(input: &Tensor, pool: usize, out: &mut Tensor, record: impl FnMut(usize)) {
+    let (c, h, w) = (input.shape[0], input.shape[1], input.shape[2]);
+    let (oh, ow) = max_pool2d(&input.data, (c, h, w), pool, &mut out.data, record);
+    set_shape(out, &[c, oh, ow]);
+}
+
+/// [`max_pool2d`] over a `[C, L]` tensor as a `[C, 1, L]` map, shaping `out`.
+fn pool_cl(input: &Tensor, pool: usize, out: &mut Tensor, record: impl FnMut(usize)) {
+    let (c, l) = (input.shape[0], input.shape[1]);
+    let (_, ol) = max_pool2d(&input.data, (c, 1, l), pool, &mut out.data, record);
+    set_shape(out, &[c, ol]);
+}
+
+impl Layer for MaxPool2d {
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        _mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        check(input.shape.len() == 3, "MaxPool2d", || "[C, H, W]".into(), input)?;
+        self.in_shape = input.shape.clone();
+        let mut out = Tensor::default();
+        let argmax = &mut self.argmax;
+        argmax.clear();
+        pool_chw(input, self.pool, &mut out, |i| argmax.push(i));
+        Ok(out)
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        check(input.shape.len() == 3, "MaxPool2d", || "[C, H, W]".into(), input)?;
+        pool_chw(input, self.pool, out, |_| {});
+        act.apply(&mut out.data);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -722,34 +879,32 @@ impl MaxPool1d {
 }
 
 impl Layer for MaxPool1d {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        assert_eq!(input.shape.len(), 2, "maxpool1d expects [C, L]");
-        let (c, l) = (input.shape[0], input.shape[1]);
-        let ol = (l / self.pool).max(1);
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        _training: bool,
+        _mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        check(input.shape.len() == 2, "MaxPool1d", || "[C, L]".into(), input)?;
         self.in_shape = input.shape.clone();
-        self.argmax = vec![0; c * ol];
-        let mut out = Tensor::zeros(&[c, ol]);
-        for ch in 0..c {
-            for t in 0..ol {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_i = 0;
-                for d in 0..self.pool {
-                    let it = t * self.pool + d;
-                    if it >= l {
-                        break;
-                    }
-                    let i = ch * l + it;
-                    if input.data[i] > best {
-                        best = input.data[i];
-                        best_i = i;
-                    }
-                }
-                let oi = ch * ol + t;
-                out.data[oi] = best;
-                self.argmax[oi] = best_i;
-            }
-        }
-        out
+        let mut out = Tensor::default();
+        let argmax = &mut self.argmax;
+        argmax.clear();
+        pool_cl(input, self.pool, &mut out, |i| argmax.push(i));
+        Ok(out)
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        check(input.shape.len() == 2, "MaxPool1d", || "[C, L]".into(), input)?;
+        pool_cl(input, self.pool, out, |_| {});
+        act.apply(&mut out.data);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -821,12 +976,22 @@ impl BatchNorm1d {
             cached_training: false,
         }
     }
+
+    fn check_input(&self, input: &Tensor) -> Result<(), ShapeError> {
+        let channels = self.channels;
+        let ok = input.shape.len() == 2 && input.shape[0] == channels;
+        check(ok, "BatchNorm1d", || format!("[{channels}, L]"), input)
+    }
 }
 
 impl Layer for BatchNorm1d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        assert_eq!(input.shape.len(), 2, "batchnorm1d expects [C, L]");
-        assert_eq!(input.shape[0], self.channels, "batchnorm channel mismatch");
+    fn try_forward(
+        &mut self,
+        input: &Tensor,
+        training: bool,
+        _mode: KernelMode,
+    ) -> Result<Tensor, ShapeError> {
+        self.check_input(input)?;
         let l = input.shape[1];
         self.cached_len = l;
         self.cached_training = training && l > 1;
@@ -858,7 +1023,28 @@ impl Layer for BatchNorm1d {
                 out.data[c * l + i] = self.gamma[c] * xhat + self.beta[c];
             }
         }
-        out
+        Ok(out)
+    }
+
+    fn infer(
+        &self,
+        input: &Tensor,
+        act: Activation,
+        _mode: KernelMode,
+        out: &mut Tensor,
+    ) -> Result<(), ShapeError> {
+        self.check_input(input)?;
+        let l = input.shape[1];
+        set_shape(out, &input.shape);
+        out.data.clear();
+        for c in 0..self.channels {
+            let (mean, gamma, beta) = (self.running_mean[c], self.gamma[c], self.beta[c]);
+            let inv_std = 1.0 / (self.running_var[c] + self.eps).sqrt();
+            let xs = &input.data[c * l..(c + 1) * l];
+            out.data.extend(xs.iter().map(|&x| gamma * ((x - mean) * inv_std) + beta));
+        }
+        act.apply(&mut out.data);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -39,7 +39,9 @@ pub use quant::QuantizedCnn;
 pub use tensor::Tensor;
 
 use crate::linalg::{argmax, softmax_inplace};
+use emoleak_kernels::{Activation, KernelMode};
 use layers::Layer;
+use quant::LayerSpec;
 use serde::{Deserialize, Serialize};
 
 /// Per-epoch training/validation metrics (Figure 7 curves).
@@ -82,8 +84,21 @@ impl Default for TrainConfig {
 }
 
 /// A feed-forward stack of layers with a softmax cross-entropy head.
+///
+/// Training runs [`Sequential::forward`], which caches activations in the
+/// layers for the backward pass. Prediction runs [`Sequential::infer`]'s
+/// pass instead: `&self`, so one trained network serves concurrent callers
+/// without a lock around it, and allocation-free once warm.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// The inference pass: which layers run, each with the activation
+    /// fused into its output. Dropout is skipped and a ReLU is fused into
+    /// the layer before it.
+    plan: Vec<(usize, Activation)>,
+    /// Ping-pong activation buffers for the inference pass, one pair per
+    /// concurrent caller so far. The lock covers only taking a pair and
+    /// putting it back, never a pass.
+    buffers: parking_lot::Mutex<Vec<[Tensor; 2]>>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -97,60 +112,140 @@ impl Sequential {
     /// Creates a network from a layer stack. The final layer must output the
     /// class-logit vector.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential { layers }
-    }
-
-    /// Forward pass producing logits.
-    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, training);
+        let mut plan: Vec<(usize, Activation)> = Vec::new();
+        for (i, layer) in layers.iter().enumerate() {
+            match layer.quant_spec() {
+                Some(LayerSpec::Identity) => {}
+                Some(LayerSpec::Relu) => match plan.last_mut() {
+                    Some((_, act @ Activation::Identity)) => *act = Activation::Relu,
+                    _ => plan.push((i, Activation::Identity)),
+                },
+                _ => plan.push((i, Activation::Identity)),
+            }
         }
-        x
+        Sequential { layers, plan, buffers: parking_lot::Mutex::new(Vec::new()) }
     }
 
-    /// Shape-checked forward pass producing logits, reporting a typed
-    /// [`ShapeError`] instead of panicking when a layer rejects its input.
+    /// Forward pass producing logits on the kernels `EMOLEAK_KERNELS`
+    /// selects, caching in every layer what backpropagation needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer rejects its input's shape.
+    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        self.try_forward(input, training, KernelMode::current()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Shape-checked forward pass producing logits on `mode`'s kernels,
+    /// reporting a typed [`ShapeError`] instead of panicking when a layer
+    /// rejects its input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when a layer rejects its input.
     pub fn try_forward(
         &mut self,
         input: &Tensor,
         training: bool,
+        mode: KernelMode,
     ) -> Result<Tensor, ShapeError> {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.try_forward(&x, training)?;
+            x = layer.try_forward(&x, training, mode)?;
         }
         Ok(x)
     }
 
+    /// Inference pass producing logits on `mode`'s kernels: bit-identical
+    /// to `try_forward(input, false, mode)`, but `&self`, with
+    /// dropout skipped, ReLU fused into the preceding layer, and every
+    /// intermediate written into reused buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when a layer rejects its input.
+    pub fn infer(&self, input: &Tensor, mode: KernelMode) -> Result<Tensor, ShapeError> {
+        self.with_logits(input, mode, Tensor::clone)
+    }
+
+    /// Runs the inference pass on a pooled buffer pair and hands the logits
+    /// to `f`.
+    fn with_logits<R>(
+        &self,
+        input: &Tensor,
+        mode: KernelMode,
+        f: impl FnOnce(&Tensor) -> R,
+    ) -> Result<R, ShapeError> {
+        let mut buffers = self.buffers.lock().pop().unwrap_or_default();
+        let result = self.run_plan(input, mode, &mut buffers).map(f);
+        self.buffers.lock().push(buffers);
+        result
+    }
+
+    /// Step `s` of the plan reads step `s - 1`'s buffer (or `input`) and
+    /// writes buffer `s % 2`.
+    fn run_plan<'a>(
+        &self,
+        input: &'a Tensor,
+        mode: KernelMode,
+        buffers: &'a mut [Tensor; 2],
+    ) -> Result<&'a Tensor, ShapeError> {
+        for (s, &(i, act)) in self.plan.iter().enumerate() {
+            let [even, odd] = &mut *buffers;
+            let (prev, out) = if s % 2 == 0 { (&*odd, even) } else { (&*even, odd) };
+            let x = if s == 0 { input } else { prev };
+            self.layers[i].infer(x, act, mode, out)?;
+        }
+        Ok(match self.plan.len() {
+            0 => input,
+            steps => &buffers[(steps - 1) % 2],
+        })
+    }
+
     /// Predicted class for one input.
-    pub fn predict(&mut self, input: &Tensor) -> usize {
-        let logits = self.forward(input, false);
-        argmax(&logits.data)
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer rejects the input's shape.
+    pub fn predict(&self, input: &Tensor) -> usize {
+        self.try_predict(input).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Shape-checked [`Sequential::predict`].
-    pub fn try_predict(&mut self, input: &Tensor) -> Result<usize, ShapeError> {
-        Ok(argmax(&self.try_forward(input, false)?.data))
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when a layer rejects its input.
+    pub fn try_predict(&self, input: &Tensor) -> Result<usize, ShapeError> {
+        self.with_logits(input, KernelMode::current(), |logits| argmax(&logits.data))
     }
 
     /// Softmax class probabilities for one input.
-    pub fn predict_proba(&mut self, input: &Tensor) -> Vec<f64> {
-        let mut logits = self.forward(input, false).data;
-        softmax_inplace(&mut logits);
-        logits
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer rejects the input's shape.
+    pub fn predict_proba(&self, input: &Tensor) -> Vec<f64> {
+        let mut p = self.infer(input, KernelMode::current()).unwrap_or_else(|e| panic!("{e}")).data;
+        softmax_inplace(&mut p);
+        p
     }
 
     /// Cross-entropy loss and accuracy over a labeled set (no learning).
-    pub fn evaluate(&mut self, xs: &[Tensor], ys: &[usize]) -> (f64, f64) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths mismatch or a layer rejects an input's shape.
+    pub fn evaluate(&self, xs: &[Tensor], ys: &[usize]) -> (f64, f64) {
         assert_eq!(xs.len(), ys.len(), "sample/label count mismatch");
         if xs.is_empty() {
             return (f64::NAN, f64::NAN);
         }
+        let mode = KernelMode::current();
         let mut loss = 0.0;
         let mut correct = 0usize;
         for (x, &y) in xs.iter().zip(ys) {
-            let mut p = self.forward(x, false).data;
+            let mut p = self.infer(x, mode).unwrap_or_else(|e| panic!("{e}")).data;
             softmax_inplace(&mut p);
             loss += -(p[y].max(1e-12)).ln();
             if argmax(&p) == y {

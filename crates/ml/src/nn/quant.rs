@@ -18,7 +18,7 @@
 use super::layers::ShapeError;
 use super::{Sequential, Tensor};
 use crate::linalg::argmax;
-use emoleak_kernels::conv::{im2col_1d, im2col_2d};
+use emoleak_kernels::conv::im2col_2d;
 use emoleak_kernels::int8::{gemm_i8, quantize_symmetric};
 
 /// An inference-relevant description of one trained layer, exported by
@@ -119,8 +119,8 @@ enum QLayer {
 }
 
 /// An immutable int8-quantized inference network lowered from a trained
-/// [`Sequential`]. Unlike `Sequential`, prediction takes `&self` (no layer
-/// caches), so it needs no lock to share across worker threads.
+/// [`Sequential`]. Prediction takes `&self`, so it needs no lock to share
+/// across worker threads.
 #[derive(Debug, Clone)]
 pub struct QuantizedCnn {
     layers: Vec<QLayer>,
@@ -207,7 +207,7 @@ impl QuantizedCnn {
                     }
                     let l = shape[1];
                     let mut cols = Vec::new();
-                    im2col_1d(&data, *in_ch, l, *k, &mut cols);
+                    im2col_2d(&data, *in_ch, 1, l, 1, *k, &mut cols);
                     data = matmul_q8(*out_ch, in_ch * k, l, wq, *wscale, &cols, b, *relu);
                     shape = vec![*out_ch, l];
                 }
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn spectrogram_cnn_lowers_and_predicts_in_range() {
-        let mut net = spectrogram_cnn_scaled(7, 3, 8);
+        let net = spectrogram_cnn_scaled(7, 3, 8);
         let q = QuantizedCnn::from_sequential(&net).expect("spectrogram CNN must lower");
         let input = Tensor::from_shape(
             &[1, 32, 32],
@@ -386,7 +386,7 @@ mod tests {
                 p.iter_mut().for_each(|v| *v = 0.25);
             }
         });
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(conv),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
